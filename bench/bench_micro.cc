@@ -132,13 +132,12 @@ bmCrossbarColumnRead(benchmark::State &state)
 }
 BENCHMARK(bmCrossbarColumnRead)->Arg(64)->Arg(512);
 
-void
-bmClusterMultiply(benchmark::State &state)
+/** The random 64-wide block every cluster bench multiplies: ~20%
+ *  dense, coefficients uniform in [-2, 2). Drawn from @p rng before
+ *  the bench draws its inputs. */
+MatrixBlock
+clusterBenchBlock(Rng &rng)
 {
-    Rng rng(6);
-    ClusterConfig cfg;
-    cfg.size = 64;
-    Cluster cluster(cfg);
     MatrixBlock block;
     block.size = 64;
     for (std::int32_t r = 0; r < 64; ++r) {
@@ -149,10 +148,30 @@ bmClusterMultiply(benchmark::State &state)
             }
         }
     }
-    cluster.program(block);
-    std::vector<double> x(64), y(64);
+    return block;
+}
+
+/** A column-major panel of @p k inputs uniform in [-1, 1). */
+std::vector<double>
+clusterBenchPanel(Rng &rng, unsigned k)
+{
+    std::vector<double> x(64ull * k);
     for (auto &v : x)
         v = rng.uniform(-1.0, 1.0);
+    return x;
+}
+
+void
+bmClusterMultiply(benchmark::State &state)
+{
+    Rng rng(6);
+    ClusterConfig cfg;
+    cfg.size = 64;
+    Cluster cluster(cfg);
+    const MatrixBlock block = clusterBenchBlock(rng);
+    cluster.program(block);
+    const std::vector<double> x = clusterBenchPanel(rng, 1);
+    std::vector<double> y(64);
     for (auto _ : state)
         benchmark::DoNotOptimize(cluster.multiply(x, y));
     state.SetItemsProcessed(state.iterations() *
@@ -160,10 +179,13 @@ bmClusterMultiply(benchmark::State &state)
 }
 BENCHMARK(bmClusterMultiply);
 
-/** Batched multi-RHS cluster MVM over a k-column panel: the same
- *  block and data distribution as bmClusterMultiply, so items/s here
- *  vs there is the per-RHS amortization factor of the shared
- *  contribution tables, schedules, and gate transposes. */
+/** Multi-RHS cluster MVM over a k-column panel: the same block and
+ *  data distribution as bmClusterMultiply, so items/s here vs there
+ *  is the per-RHS gain of running k columns in one call. All columns
+ *  share one walk of the schedule levels, whatever their vector
+ *  widths, and the inner loop sums each row's gated deltas for all
+ *  of them at once; the per-column front end, stats, and termination
+ *  checks are not shared. */
 void
 bmClusterMultiplyBatch(benchmark::State &state)
 {
@@ -172,20 +194,10 @@ bmClusterMultiplyBatch(benchmark::State &state)
     ClusterConfig cfg;
     cfg.size = 64;
     Cluster cluster(cfg);
-    MatrixBlock block;
-    block.size = 64;
-    for (std::int32_t r = 0; r < 64; ++r) {
-        for (std::int32_t c = 0; c < 64; ++c) {
-            if (rng.chance(0.2)) {
-                block.elems.push_back({r, c,
-                    rng.uniform(-2.0, 2.0)});
-            }
-        }
-    }
+    const MatrixBlock block = clusterBenchBlock(rng);
     cluster.program(block);
-    std::vector<double> x(64ull * k), y(64ull * k);
-    for (auto &v : x)
-        v = rng.uniform(-1.0, 1.0);
+    const std::vector<double> x = clusterBenchPanel(rng, k);
+    std::vector<double> y(64ull * k);
     for (auto _ : state) {
         cluster.multiply(std::span<const double>(x),
                          std::span<double>(y), k);
@@ -206,20 +218,10 @@ bmHwClusterMultiply(benchmark::State &state)
     HwCluster::Config cfg;
     cfg.size = 64;
     HwCluster cluster(cfg);
-    MatrixBlock block;
-    block.size = 64;
-    for (std::int32_t r = 0; r < 64; ++r) {
-        for (std::int32_t c = 0; c < 64; ++c) {
-            if (rng.chance(0.2)) {
-                block.elems.push_back({r, c,
-                    rng.uniform(-2.0, 2.0)});
-            }
-        }
-    }
+    const MatrixBlock block = clusterBenchBlock(rng);
     cluster.program(block);
-    std::vector<double> x(64), y(64);
-    for (auto &v : x)
-        v = rng.uniform(-1.0, 1.0);
+    const std::vector<double> x = clusterBenchPanel(rng, 1);
+    std::vector<double> y(64);
     for (auto _ : state)
         benchmark::DoNotOptimize(cluster.multiply(x, y));
     state.SetItemsProcessed(state.iterations() *
@@ -227,8 +229,8 @@ bmHwClusterMultiply(benchmark::State &state)
 }
 BENCHMARK(bmHwClusterMultiply);
 
-/** Batched multi-RHS bit-slice MVM: the crossbar word flattening
- *  and inversion census are built once and reused across the panel. */
+/** Multi-RHS bit-slice MVM: the crossbar word flattening and
+ *  inversion census are built once and reused across the panel. */
 void
 bmHwClusterMultiplyBatch(benchmark::State &state)
 {
@@ -237,20 +239,10 @@ bmHwClusterMultiplyBatch(benchmark::State &state)
     HwCluster::Config cfg;
     cfg.size = 64;
     HwCluster cluster(cfg);
-    MatrixBlock block;
-    block.size = 64;
-    for (std::int32_t r = 0; r < 64; ++r) {
-        for (std::int32_t c = 0; c < 64; ++c) {
-            if (rng.chance(0.2)) {
-                block.elems.push_back({r, c,
-                    rng.uniform(-2.0, 2.0)});
-            }
-        }
-    }
+    const MatrixBlock block = clusterBenchBlock(rng);
     cluster.program(block);
-    std::vector<double> x(64ull * k), y(64ull * k);
-    for (auto &v : x)
-        v = rng.uniform(-1.0, 1.0);
+    const std::vector<double> x = clusterBenchPanel(rng, k);
+    std::vector<double> y(64ull * k);
     for (auto _ : state) {
         cluster.multiply(std::span<const double>(x),
                          std::span<double>(y), k);

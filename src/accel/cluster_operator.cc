@@ -1,5 +1,7 @@
 #include "accel/cluster_operator.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 #include "util/threadpool.hh"
@@ -50,17 +52,32 @@ ClusterArithmeticOperator::ClusterArithmeticOperator(
 void
 ClusterArithmeticOperator::programClusters(const ClusterConfig &base)
 {
-    clusters.reserve(plan.blocks.size());
-    for (const MatrixBlock &block : plan.blocks) {
+    // Fewer blocks than pool lanes: give each block one cluster per
+    // lane the blocks leave idle, so applyBatch can split a panel's
+    // columns across them (per-cluster scratch is not re-entrant).
+    // The copies are made here, so the footprint is fixed once the
+    // operator is built.
+    const std::size_t nb = plan.blocks.size();
+    const unsigned lanes =
+        ThreadPool::inParallelSection() ? 1 : globalThreads();
+    replicas = nb == 0 || nb >= lanes
+        ? 1
+        : lanes / static_cast<unsigned>(nb);
+    clusters.resize(nb * replicas);
+    for (std::size_t bi = 0; bi < nb; ++bi) {
         ClusterConfig cfg = base;
-        cfg.size = block.size;
-        clusters.push_back(std::make_unique<Cluster>(cfg));
+        cfg.size = plan.blocks[bi].size;
+        clusters[bi * replicas] = std::make_unique<Cluster>(cfg);
     }
-    // Programming is embarrassingly parallel: one cluster per block,
+    // Programming is embarrassingly parallel: one task per block,
     // no shared state.
-    scratch.resize(plan.blocks.size());
-    parallelFor(plan.blocks.size(), [&](std::size_t bi) {
-        clusters[bi]->program(plan.blocks[bi]);
+    parallelFor(nb, [&](std::size_t bi) {
+        Cluster &programmed = *clusters[bi * replicas];
+        programmed.program(plan.blocks[bi]);
+        for (unsigned j = 1; j < replicas; ++j) {
+            clusters[bi * replicas + j] =
+                std::make_unique<Cluster>(programmed);
+        }
     });
 }
 
@@ -68,46 +85,7 @@ void
 ClusterArithmeticOperator::apply(std::span<const double> x,
                                  std::span<double> y)
 {
-    if (x.size() != static_cast<std::size_t>(mat->cols()) ||
-        y.size() != static_cast<std::size_t>(mat->rows()))
-        fatal("ClusterArithmeticOperator: dimension mismatch");
-
-    telemetry::Span span("cluster.apply");
-    ctrApplies.add();
-
-    // Local-processor part: unblockable leftovers on the FPU.
-    plan.unblocked.spmv(x, y);
-
-    // Fan the block MVMs across the pool; every block writes only
-    // its own scratch slot. The execution context is polled per
-    // block batch: a cancel mid-apply abandons the remaining blocks
-    // before the reduction below ever runs.
-    parallelFor(
-        plan.blocks.size(),
-        [&](std::size_t bi) {
-        telemetry::Span blockSpan("cluster.block");
-        const MatrixBlock &block = plan.blocks[bi];
-        BlockScratch &sc = scratch[bi];
-        sc.xLocal.assign(block.size, 0.0);
-        for (unsigned j = 0; j < block.size; ++j) {
-            const std::int64_t col = block.colOrigin + j;
-            if (col < mat->cols())
-                sc.xLocal[j] = x[static_cast<std::size_t>(col)];
-        }
-        sc.yLocal.assign(block.size, 0.0);
-        sc.peeled.clear();
-        sc.stats =
-            clusters[bi]->multiply(sc.xLocal, sc.yLocal, &sc.peeled);
-        },
-        1, exec);
-
-    // Deterministic reduction in fixed block order: the sums landing
-    // in y are bit-identical regardless of the lane count.
-    for (std::size_t bi = 0; bi < plan.blocks.size(); ++bi) {
-        BlockScratch &sc = scratch[bi];
-        reduceBlock(plan.blocks[bi], sc.stats, sc.yLocal.data(),
-                    sc.peeled, sc.peeledMask, x, y);
-    }
+    applyBatch(x, y, 1);
 }
 
 void
@@ -172,7 +150,7 @@ ClusterArithmeticOperator::applyBatch(std::span<const double> X,
     if (X.size() != nc * k || Y.size() != nr * k)
         fatal("ClusterArithmeticOperator: panel size mismatch");
 
-    telemetry::Span span("cluster.apply_batch");
+    telemetry::Span span("cluster.apply");
     ctrApplies.add(k);
 
     // Local-processor part, per column in column order.
@@ -181,50 +159,69 @@ ClusterArithmeticOperator::applyBatch(std::span<const double> X,
                             Y.subspan(c * nr, nr));
     }
 
-    // One batched cluster multiply per block over the whole panel:
-    // the contribution tables, schedules, and gate transposes are
-    // shared across all k columns. Each block still writes only its
-    // own scratch slot; a cancel mid-apply abandons the remaining
-    // blocks before the reduction runs.
+    // Fan the panel multiplies across the pool: one task per block
+    // and column chunk. A panel over fewer blocks than lanes splits
+    // its columns into up to `replicas` contiguous chunks, chunk j of
+    // block bi running on clusters[bi * replicas + j]. Columns are
+    // independent inside the kernel, so the split moves no bits.
+    // Every task writes only its own scratch slot. The execution
+    // context is polled per task batch: a cancel mid-apply abandons
+    // the remaining tasks before the reduction below ever runs.
+    const std::size_t nb = plan.blocks.size();
+    const unsigned chunks = std::min(k, replicas);
+    const auto chunkBegin = [&](unsigned j) { return j * k / chunks; };
+    scratch.resize(nb * chunks);
     parallelFor(
-        plan.blocks.size(),
-        [&](std::size_t bi) {
+        nb * chunks,
+        [&](std::size_t t) {
         telemetry::Span blockSpan("cluster.block");
+        const std::size_t bi = t / chunks;
+        const auto j = static_cast<unsigned>(t % chunks);
+        const unsigned c0 = chunkBegin(j);
+        const unsigned kc = chunkBegin(j + 1) - c0;
         const MatrixBlock &block = plan.blocks[bi];
-        BlockScratch &sc = scratch[bi];
-        sc.xLocal.assign(static_cast<std::size_t>(block.size) * k,
+        BlockScratch &sc = scratch[t];
+        sc.xLocal.assign(static_cast<std::size_t>(block.size) * kc,
                          0.0);
-        for (unsigned c = 0; c < k; ++c) {
-            for (unsigned j = 0; j < block.size; ++j) {
-                const std::int64_t col = block.colOrigin + j;
+        for (unsigned c = 0; c < kc; ++c) {
+            for (unsigned jj = 0; jj < block.size; ++jj) {
+                const std::int64_t col = block.colOrigin + jj;
                 if (col < mat->cols()) {
                     sc.xLocal[static_cast<std::size_t>(c) *
-                                  block.size + j] =
-                        X[c * nc + static_cast<std::size_t>(col)];
+                                  block.size + jj] =
+                        X[(c0 + c) * nc +
+                          static_cast<std::size_t>(col)];
                 }
             }
         }
-        sc.yLocal.assign(static_cast<std::size_t>(block.size) * k,
+        sc.yLocal.assign(static_cast<std::size_t>(block.size) * kc,
                          0.0);
-        clusters[bi]->multiply(std::span<const double>(sc.xLocal),
-                               std::span<double>(sc.yLocal), k,
-                               &sc.peeledCols, &sc.colStats);
+        clusters[bi * replicas + j]->multiply(
+            std::span<const double>(sc.xLocal),
+            std::span<double>(sc.yLocal), kc, &sc.peeledCols,
+            &sc.colStats);
         },
         1, exec);
 
-    // Reduction in (column, block) order -- exactly the order k
-    // sequential apply() calls fold, so y AND the aggregate stats
-    // (floating-point sums included) are bitwise identical.
-    for (unsigned c = 0; c < k; ++c) {
-        const std::span<const double> xc = X.subspan(c * nc, nc);
-        const std::span<double> yc = Y.subspan(c * nr, nr);
-        for (std::size_t bi = 0; bi < plan.blocks.size(); ++bi) {
-            const MatrixBlock &block = plan.blocks[bi];
-            BlockScratch &sc = scratch[bi];
-            reduceBlock(block, sc.colStats[c],
-                        sc.yLocal.data() +
-                            static_cast<std::size_t>(c) * block.size,
-                        sc.peeledCols[c], sc.peeledMask, xc, yc);
+    // Deterministic reduction in (column, block) order: y and the
+    // aggregate stats (floating-point sums included) are bitwise
+    // what k single-vector applies fold, for any lane count. Chunks
+    // are contiguous, so walking them in order visits the columns in
+    // order.
+    for (unsigned j = 0; j < chunks; ++j) {
+        for (unsigned c = chunkBegin(j); c < chunkBegin(j + 1); ++c) {
+            const unsigned off = c - chunkBegin(j);
+            const std::span<const double> xc = X.subspan(c * nc, nc);
+            const std::span<double> yc = Y.subspan(c * nr, nr);
+            for (std::size_t bi = 0; bi < nb; ++bi) {
+                const MatrixBlock &block = plan.blocks[bi];
+                BlockScratch &sc = scratch[bi * chunks + j];
+                reduceBlock(block, sc.colStats[off],
+                            sc.yLocal.data() +
+                                static_cast<std::size_t>(off) *
+                                    block.size,
+                            sc.peeledCols[off], sc.peeledMask, xc, yc);
+            }
         }
     }
 }

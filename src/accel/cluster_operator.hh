@@ -58,15 +58,18 @@ class ClusterArithmeticOperator : public LinearOperator
     std::int32_t rows() const override { return mat->rows(); }
     std::int32_t cols() const override { return mat->cols(); }
 
+    /** The k = 1 case of applyBatch(). */
     void apply(std::span<const double> x,
                std::span<double> y) override;
 
     /**
-     * Batched multi-RHS apply: each block's cluster runs one batched
-     * multiply over the whole panel (tables and schedules amortized
-     * across columns), and the reduction folds per (column, block)
-     * in the sequential order, so outputs AND the running aggregate
-     * stats are bitwise identical to k apply() calls.
+     * Panel apply: each block's cluster runs one panel multiply
+     * (Cluster::multiply(X, Y, k)), and the reduction folds per
+     * (column, block) in the sequential order, so outputs AND the
+     * running aggregate stats are bitwise identical to k
+     * single-vector applies. When the blocks leave pool lanes idle,
+     * the panel's columns also split across copies of each block's
+     * cluster, so the columns run in parallel too.
      */
     void applyBatch(std::span<const double> X, std::span<double> Y,
                     unsigned k) override;
@@ -79,6 +82,11 @@ class ClusterArithmeticOperator : public LinearOperator
     }
 
     const BlockPlan &blockPlan() const { return plan; }
+
+    /** Programmed clusters per block: 1, or one per pool lane the
+     *  blocks left idle when the operator was built (see
+     *  applyBatch). */
+    unsigned clustersPerBlock() const { return replicas; }
 
     /** Aggregate cluster statistics since construction. */
     const ClusterStats &totals() const { return aggregate; }
@@ -94,26 +102,23 @@ class ClusterArithmeticOperator : public LinearOperator
     }
 
   private:
-    /** Shared ctor body: program one cluster per planned block. */
+    /** Shared ctor body: program each planned block's clusters. */
     void programClusters(const ClusterConfig &base);
 
-    /** Per-block partial results, written concurrently by the block
-     *  fan-out and reduced into y in fixed block order. */
+    /** One fan-out task's partial results (block.size x kc
+     *  column-major panels for its kc columns), written concurrently
+     *  and reduced into Y in fixed (column, block) order. */
     struct BlockScratch
     {
         std::vector<double> xLocal;
         std::vector<double> yLocal;
-        std::vector<std::int32_t> peeled;
         std::vector<std::uint8_t> peeledMask; //!< per block column
-        ClusterStats stats;
-        /** Batched apply: per-column peel lists and stats. */
         std::vector<std::vector<std::int32_t>> peeledCols;
         std::vector<ClusterStats> colStats;
     };
 
     /** Fold one block's result for one RHS column into y and the
-     *  aggregate stats: the shared reduction step of apply() and
-     *  applyBatch(), so the two fold orders cannot diverge. */
+     *  aggregate stats. */
     void reduceBlock(const MatrixBlock &block, const ClusterStats &s,
                      const double *yLocal,
                      const std::vector<std::int32_t> &peeled,
@@ -122,9 +127,12 @@ class ClusterArithmeticOperator : public LinearOperator
 
     const Csr *mat;
     BlockPlan plan;
+    /** Block bi's clusters at [bi * replicas, (bi + 1) * replicas):
+     *  the programmed one, then its copies. */
     std::vector<std::unique_ptr<Cluster>> clusters;
+    unsigned replicas = 1;
     ClusterStats aggregate;
-    std::vector<BlockScratch> scratch;
+    std::vector<BlockScratch> scratch; //!< per (block, chunk) task
     const ExecContext *exec = nullptr; //!< optional, not owned
 };
 

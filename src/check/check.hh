@@ -14,9 +14,9 @@
  *   xbar     - BinaryCrossbar column reads vs a naive dense popcount
  *   cluster  - Cluster and HwCluster block MVM vs exactDot
  *   accel    - Accelerator::spmv vs Csr::spmv under a ULP budget
- *   spmm     - batched multi-RHS path (Cluster/HwCluster batch
+ *   spmm     - multi-RHS panels (Cluster/HwCluster panel
  *              multiply, Accelerator::spmm) vs k independent
- *              single-RHS invocations, bitwise
+ *              single-vector invocations, bitwise
  *   solver   - metamorphic solver/SpMV transforms: P*A*P^T symmetric
  *              permutation, power-of-two scaling equivariance
  *              (bitwise), and x^T(Ay) == (A^T x)^T y consistency

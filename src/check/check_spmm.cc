@@ -1,17 +1,20 @@
 /**
  * @file
- * Differential checks: the batched multi-RHS path vs k independent
- * single-RHS invocations.
+ * Differential checks: k-column panels vs k independent
+ * single-vector invocations.
  *
- * The batch path's whole contract is "amortize the setup, change no
- * bit": Cluster::multiply(X), HwCluster::multiply(X), and
- * Accelerator::spmm must produce outputs, per-column side channels
- * (peeled indices), and statistics bitwise identical to k calls of
- * the retained single-RHS path in column order. The single-RHS path
- * is itself pinned to an exact oracle by the cluster/accel modules,
- * so this module only needs the self-differential: batched vs
- * sequential, swept across schedule x rounding x AN x early-
- * termination corners and random panel widths.
+ * Cluster and HwCluster each have one multiply kernel; a single
+ * vector is its k = 1 panel. For them this module pins column
+ * independence: a panel's outputs, per-column side channels (peeled
+ * indices), and statistics must be bitwise what k single-vector
+ * calls return in column order, whatever the other columns hold
+ * (Cluster walks one level schedule for columns of every vector
+ * width; HwCluster scans them inside one row-parallel pass).
+ * Accelerator::spmm keeps its own path beside spmv, so there the
+ * check compares two paths. The single-vector results are pinned to
+ * an exact oracle by the cluster/accel modules. Swept across
+ * schedule x rounding x AN x early-termination corners and random
+ * panel widths.
  */
 
 #include <cmath>
@@ -145,8 +148,9 @@ checkClusterBatch(Context &ctx, Rng &rng)
     const unsigned k = 2 + static_cast<unsigned>(rng.below(5));
     std::vector<double> X;
     for (unsigned c = 0; c < k; ++c) {
-        // Mixed spreads: distinct vector widths (distinct schedule
-        // groups) and the occasional 64-bit-window overflow (peel).
+        // Mixed spreads: distinct vector widths (columns joining the
+        // level walk at different levels) and the occasional 64-bit
+        // window overflow (peel).
         const int spread =
             rng.chance(0.25) ? 75 : static_cast<int>(rng.below(31));
         const auto xc = randomVector(rng, size, spread);

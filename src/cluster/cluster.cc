@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/intlog.hh"
 #include "util/logging.hh"
@@ -117,8 +116,8 @@ Cluster::program(const MatrixBlock &block)
 
     // Per (slice, block row) stored-ones census for CIC and ADC
     // headstart. Zero cells store the bias pattern.
-    sliceOnes.assign(encodedBits,
-                     std::vector<std::uint16_t>(blockSize, 0));
+    std::vector<std::vector<std::uint16_t>> sliceOnes(
+        encodedBits, std::vector<std::uint16_t>(blockSize, 0));
     progInfo = ClusterProgramInfo{};
     std::uint64_t setBits = 0;
     for (unsigned i = 0; i < blockSize; ++i) {
@@ -355,210 +354,13 @@ ClusterStats
 Cluster::multiply(std::span<const double> x, std::span<double> y,
                   std::vector<std::int32_t> *peeled)
 {
-    if (!isProgrammed)
-        fatal("Cluster::multiply: no block programmed");
-    if (x.size() != blockSize || y.size() != blockSize)
-        fatal("Cluster::multiply: vector size mismatch");
-
-    ClusterStats stats;
-
-    // --- vector alignment with exponent-window peeling ------------
-    maskedScratch.resize(blockSize);
-    peelVector(x, maskedScratch, stats, peeled);
-
-    const AlignedSet vx = alignValues(maskedScratch);
-    const BiasedSet ux = biasEncode(vx);
-    const unsigned vecBits = ux.width();
-    const int outScale = blockScale + vx.scale;
-
-    // --- schedule ---------------------------------------------------
-    const ActivationSchedule schedule(encodedBits, vecBits,
-                                      cfg.schedule, cfg.hybridSkew);
-    stats.matrixSlices = encodedBits;
-    stats.vectorSlices = vecBits;
-    stats.groupsTotal = schedule.groups().size();
-
-    // --- accumulators ------------------------------------------------
-    accScratch.assign(blockSize, SignedAcc{});
-    doneScratch.assign(blockSize, 0);
-    SignedAcc *const acc = accScratch.data();
-    std::uint8_t *const done = doneScratch.data();
-    std::size_t alive = 0;
-    for (unsigned i = 0; i < blockSize; ++i) {
-        if (rowPtr[i + 1] == rowPtr[i]) {
-            // Bias cells cancel exactly; the hardware settles these
-            // immediately.
-            done[i] = 1;
-            y[i] = 0.0;
-            ++stats.emptyColumns;
-            continue;
-        }
-        ++alive;
-        // Fold the vector-bias debias constant -bX * rowSumF into the
-        // initial running sum (known at program/apply time).
-        U256 init = rowSumF[i].mag << (ux.biasBits);
-        if (cfg.anProtect)
-            init.mulSmall(cfg.anConstant);
-        acc[i].neg = !rowSumF[i].neg;
-        acc[i].mag = init;
-        if (init.isZero())
-            acc[i].neg = false;
-    }
-
-    const unsigned nBits = bitsForCount(blockSize);
-    const int anShift = cfg.anProtect
-        ? static_cast<int>(an.codeBits() - an.dataBits() - 1) : 0;
-    // anShift = 8 for A=269: floor(log2(269)).
-    const int sigCellBits = static_cast<int>(
-        bitsForCount(std::min(encodedBits, vecBits)));
-
-    // --- precomputed slice-group kernels ------------------------------
-    // Vector bit-slice bitmaps, shared with the hardware model's
-    // dataflow: slice k gates which elements contribute in a segment
-    // at weight 2^k. All-zero slices gate everything out, so their
-    // segments are skipped entirely.
-    const std::size_t nActive = activeBitSlices(ux, vslicesScratch);
-    sliceByKScratch.assign(vecBits, nullptr);
-    for (std::size_t s = 0; s < nActive; ++s)
-        sliceByKScratch[vslicesScratch[s].k] = &vslicesScratch[s].bits;
-    const BitVec *const *sliceByK = sliceByKScratch.data();
-
-    // Pre-build the contribution tables (see rangeTable()) for every
-    // distinct (bLo, bHi) range of this schedule, so the kernel
-    // resolution below can hold stable RangeTable pointers.
-    for (const ScheduleGroup &group : schedule.groups()) {
-        for (const auto &seg : group.segments)
-            rangeTable(seg.bLo, seg.bHi);
-    }
-
-    std::vector<SegKernel> &kernels = kernelScratch;
-
-    // --- group-granular execution ------------------------------------
-    const auto &groups = schedule.groups();
-    for (std::size_t g = 0; g < groups.size() && alive > 0; ++g) {
-        const ScheduleGroup &group = groups[g];
-        ++stats.groupsExecuted;
-        stats.xbarActivations += group.activations();
-
-        // ADC conversions: every active crossbar scans the alive
-        // columns; terminated columns are skipped (Section III-B).
-        stats.adcConversions +=
-            static_cast<std::uint64_t>(group.activations()) * alive;
-        stats.conversionsSkipped +=
-            static_cast<std::uint64_t>(group.activations()) *
-            (blockSize - alive);
-
-        // Energy: full-array activation energy per crossbar op plus
-        // per-conversion ADC energy from the per-(slice, row) table
-        // program() resolved (headstart preset included). The whole
-        // array pulls current during an operation regardless of how
-        // many columns are converted.
-        stats.arrayEnergy += group.activations() * arrayOpE;
-        for (const auto &seg : group.segments) {
-            for (unsigned b = seg.bLo; b <= seg.bHi; ++b) {
-                const double *ce =
-                    &adcConvE[static_cast<std::size_t>(b) *
-                              blockSize];
-                for (unsigned i = 0; i < blockSize; ++i) {
-                    if (done[i])
-                        continue;
-                    stats.adcEnergy += ce[i];
-                }
-            }
-        }
-
-        // Functional contribution, per alive output row: resolve the
-        // group's segments to their precomputed kernels once, then
-        // scan each row gating on the vector-slice bitmaps. A zero
-        // delta is an exact no-op on the sign-magnitude accumulator
-        // and is skipped.
-        kernels.clear();
-        for (const auto &seg : group.segments) {
-            const BitVec *gate = sliceByK[seg.k];
-            if (!gate)
-                continue;
-            kernels.push_back({&rangeTable(seg.bLo, seg.bHi), gate,
-                               seg.bLo + seg.k});
-        }
-        for (unsigned i = 0; i < blockSize; ++i) {
-            if (done[i])
-                continue;
-            SignedAcc &a = acc[i];
-            for (const SegKernel &kr : kernels) {
-                const BitVec &gate = *kr.gate;
-                if (kr.tab->small) {
-                    const std::int16_t *d = kr.tab->delta.data();
-                    for (std::uint32_t e = rowPtr[i];
-                         e < rowPtr[i + 1]; ++e) {
-                        if (!gate.get(static_cast<std::size_t>(
-                                elemCol[e])))
-                            continue;
-                        const std::int32_t m = d[e];
-                        if (m == 0)
-                            continue;
-                        addSmall(a, m < 0,
-                                 static_cast<std::uint64_t>(
-                                     m < 0 ? -m : m),
-                                 kr.shift);
-                    }
-                } else {
-                    for (std::uint32_t e = rowPtr[i];
-                         e < rowPtr[i + 1]; ++e) {
-                        if (!gate.get(static_cast<std::size_t>(
-                                elemCol[e])))
-                            continue;
-                        if (kr.tab->magW[e].isZero())
-                            continue;
-                        U256 v = U256::from(kr.tab->magW[e]);
-                        v <<= kr.shift;
-                        a.add(kr.tab->negW[e] != 0, v);
-                    }
-                }
-            }
-        }
-
-        // Early termination check (between groups).
-        if (!cfg.earlyTermination)
-            continue;
-        const int remSig = schedule.maxRemainingSignificance(g);
-        if (remSig < 0)
-            break; // grid exhausted; exact completion below
-        // Remaining contribution bound: each remaining cell (b, k)
-        // contributes at most N * 2^(b+k); at most min(B, K) cells
-        // share a significance level, and the geometric sum over
-        // levels <= remSig doubles the top one.
-        const int bound = remSig + static_cast<int>(nBits) +
-                          sigCellBits + 2;
-        for (unsigned i = 0; i < blockSize; ++i) {
-            if (done[i])
-                continue;
-            U256 decoded = acc[i].mag;
-            int boundDec = bound;
-            if (cfg.anProtect) {
-                decoded.divSmall(cfg.anConstant);
-                boundDec = bound - anShift + 2;
-            }
-            if (settled(decoded, boundDec,
-                        cfg.targetMantissaBits + 3)) {
-                done[i] = 1;
-                --alive;
-                ++stats.columnsEarlyTerminated;
-                y[i] = convert(acc[i], outScale, false);
-            }
-        }
-    }
-
-    // Exact completion for rows that never terminated early.
-    for (unsigned i = 0; i < blockSize; ++i) {
-        if (!done[i])
-            y[i] = convert(acc[i], outScale, true);
-    }
-
-    // --- timing ---------------------------------------------------
-    stats.cycles = stats.groupsExecuted * cfg.size + 12;
-    stats.latency = static_cast<double>(stats.cycles) /
-                    cfg.xbar.fClkHz;
-    stats.energy = stats.arrayEnergy + stats.adcEnergy;
+    // The k = 1 panel; column 0's peel list goes back by swap, so
+    // both vectors keep their capacity across calls.
+    peeledOne.resize(1);
+    const ClusterStats stats =
+        multiply(x, y, 1, peeled ? &peeledOne : nullptr);
+    if (peeled)
+        peeled->swap(peeledOne[0]);
     return stats;
 }
 
@@ -572,65 +374,58 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
         fatal("Cluster::multiply: no block programmed");
     if (k == 0)
         fatal("Cluster::multiply: batch needs at least one column");
-    const std::size_t panel =
-        static_cast<std::size_t>(blockSize) * k;
+    const std::size_t n = blockSize;
+    const std::size_t panel = n * k;
     if (X.size() != panel || Y.size() != panel)
         fatal("Cluster::multiply: panel size mismatch");
     if (peeled)
         peeled->resize(k);
 
-    // --- per-column front end: peel, align, encode -----------------
+    // --- per-column front end: peel, align, encode, init ----------
     // Alignment is input-dependent, so it stays per column; the
-    // programmed-side state (contribution tables, ADC energy table,
-    // schedules, gate transposes) is shared below.
+    // programmed-side state (contribution tables, ADC energy table)
+    // is shared below.
     maskedBatch.resize(panel);
-    std::vector<ClusterStats> colStats(k);
-    std::vector<BiasedSet> uxs(k);
-    std::vector<int> outScale(k);
-    std::vector<std::vector<VectorSlice>> vslices(k);
-    std::vector<std::vector<const BitVec *>> sliceByK(k);
-    for (unsigned c = 0; c < k; ++c) {
-        const std::span<double> mc(
-            maskedBatch.data() +
-                static_cast<std::size_t>(c) * blockSize,
-            blockSize);
-        peelVector(X.subspan(static_cast<std::size_t>(c) * blockSize,
-                             blockSize),
-                   mc, colStats[c],
-                   peeled ? &(*peeled)[c] : nullptr);
-        const AlignedSet vx = alignValues(mc);
-        uxs[c] = biasEncode(vx);
-        outScale[c] = blockScale + vx.scale;
-        const std::size_t nActive =
-            activeBitSlices(uxs[c], vslices[c]);
-        sliceByK[c].assign(uxs[c].width(), nullptr);
-        for (std::size_t s = 0; s < nActive; ++s)
-            sliceByK[c][vslices[c][s].k] = &vslices[c][s].bits;
-        colStats[c].matrixSlices = encodedBits;
-        colStats[c].vectorSlices = uxs[c].width();
-    }
-
-    // --- per-column accumulators -----------------------------------
     accBatch.assign(panel, SignedAcc{});
     doneBatch.assign(panel, 0);
-    std::vector<std::size_t> alive(k, 0);
+    columns.resize(k);
     for (unsigned c = 0; c < k; ++c) {
-        SignedAcc *const acc =
-            accBatch.data() + static_cast<std::size_t>(c) * blockSize;
-        std::uint8_t *const done =
-            doneBatch.data() +
-            static_cast<std::size_t>(c) * blockSize;
-        const std::span<double> yc = Y.subspan(
-            static_cast<std::size_t>(c) * blockSize, blockSize);
+        PanelColumn &col = columns[c];
+        col.stats = ClusterStats{};
+        const std::span<double> masked(maskedBatch.data() + c * n, n);
+        peelVector(X.subspan(c * n, n), masked, col.stats,
+                   peeled ? &(*peeled)[c] : nullptr);
+        const AlignedSet vx = alignValues(masked);
+        col.ux = biasEncode(vx);
+        col.outScale = blockScale + vx.scale;
+        // Vector bit-slice bitmaps: slice k gates which elements
+        // contribute in a segment at weight 2^k. All-zero slices
+        // gate everything out and stay null.
+        const std::size_t nActive =
+            activeBitSlices(col.ux, col.vslices);
+        col.sliceByK.assign(col.ux.width(), nullptr);
+        for (std::size_t s = 0; s < nActive; ++s)
+            col.sliceByK[col.vslices[s].k] = &col.vslices[s].bits;
+        col.stats.matrixSlices = encodedBits;
+        col.stats.vectorSlices = col.ux.width();
+
+        SignedAcc *const acc = accBatch.data() + c * n;
+        std::uint8_t *const done = doneBatch.data() + c * n;
+        double *const yc = Y.data() + c * n;
+        col.alive = 0;
         for (unsigned i = 0; i < blockSize; ++i) {
             if (rowPtr[i + 1] == rowPtr[i]) {
+                // Bias cells cancel exactly; the hardware settles
+                // these immediately.
                 done[i] = 1;
                 yc[i] = 0.0;
-                ++colStats[c].emptyColumns;
+                ++col.stats.emptyColumns;
                 continue;
             }
-            ++alive[c];
-            U256 init = rowSumF[i].mag << (uxs[c].biasBits);
+            ++col.alive;
+            // Fold the vector-bias debias constant -bX * rowSumF
+            // into the initial running sum (known at apply time).
+            U256 init = rowSumF[i].mag << (col.ux.biasBits);
             if (cfg.anProtect)
                 init.mulSmall(cfg.anConstant);
             acc[i].neg = !rowSumF[i].neg;
@@ -643,288 +438,299 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
     const unsigned nBits = bitsForCount(blockSize);
     const int anShift = cfg.anProtect
         ? static_cast<int>(an.codeBits() - an.dataBits() - 1) : 0;
+    // anShift = 8 for A=269: floor(log2(269)).
 
-    // --- vector-width groups ----------------------------------------
+    // --- schedule ----------------------------------------------------
     // The activation schedule depends on the input only through the
-    // biased operand width, so columns sharing a width share one
-    // schedule, one table-ensure pass, and one gate transpose.
-    // Groups run in ascending width order; within a group columns
-    // stay in ascending index order. Per-column trajectory state
-    // keeps every column bitwise independent, so ordering across
-    // columns is irrelevant to the outputs.
-    std::vector<unsigned> order(k);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](unsigned a, unsigned b) {
-                         return uxs[a].width() < uxs[b].width();
-                     });
+    // biased operand width. Every policy cuts the same grid of
+    // (matrix slice b, vector slice k) cells into levels
+    // L = k - stagger(b): group g of a width-W schedule is level
+    // W - 1 - g, holding that level's cells with k < W -- the leading
+    // whole segments of the widest schedule's group at that level --
+    // and every width ends on the same level. So one schedule, for
+    // the panel's widest column, serves all k: a column of width W
+    // joins the level walk at group maxBits - W and, at each level,
+    // owns the segments with k < W. One walk over the levels shares
+    // the inner loop across all k columns whatever their widths.
+    unsigned maxBits = 0;
+    for (unsigned c = 0; c < k; ++c)
+        maxBits = std::max(maxBits, columns[c].ux.width());
+    const ActivationSchedule schedule(encodedBits, maxBits,
+                                      cfg.schedule, cfg.hybridSkew);
+    const auto &levels = schedule.groups();
+    const std::size_t nLevels = levels.size();
 
-    std::vector<unsigned> cols;
-    for (std::size_t at = 0; at < order.size();) {
-        const unsigned vecBits = uxs[order[at]].width();
-        cols.clear();
-        while (at < order.size() &&
-               uxs[order[at]].width() == vecBits)
-            cols.push_back(order[at++]);
-        const std::size_t kg = cols.size();
-
-        const ActivationSchedule schedule(
-            encodedBits, vecBits, cfg.schedule, cfg.hybridSkew);
-        const auto &groups = schedule.groups();
-        for (unsigned c : cols)
-            colStats[c].groupsTotal = groups.size();
-        const int sigCellBits = static_cast<int>(
-            bitsForCount(std::min(encodedBits, vecBits)));
-
-        // Ensure every range's contribution table exists before the
-        // group loop takes references (rangeTable() may reallocate).
-        for (const ScheduleGroup &group : groups) {
-            for (const auto &seg : group.segments)
-                rangeTable(seg.bLo, seg.bHi);
-        }
-
-        // Gate transpose: per (vector slice k, element column j) a
-        // kg-wide 0/1 row, so the inner loop reads the gates of all
-        // columns in one contiguous stride instead of probing kg
-        // bitmaps per element.
-        gateTBatch.assign(
-            static_cast<std::size_t>(vecBits) * blockSize * kg, 0);
-        for (std::size_t idx = 0; idx < kg; ++idx) {
-            const unsigned c = cols[idx];
-            for (unsigned kc = 0; kc < vecBits; ++kc) {
-                const BitVec *gate = sliceByK[c][kc];
-                if (!gate)
+    // Per distinct width: each level's crossbar activations and the
+    // largest significance left after it (the termination bound's
+    // input), restricted to the width's segments.
+    widths.clear();
+    for (unsigned c = 0; c < k; ++c) {
+        PanelColumn &col = columns[c];
+        const unsigned w = col.ux.width();
+        col.widthIdx = std::find(widths.begin(), widths.end(), w) -
+                       widths.begin();
+        if (col.widthIdx == widths.size())
+            widths.push_back(w);
+        col.joinLevel = maxBits - w;
+        col.stats.groupsTotal = nLevels - col.joinLevel;
+        col.sigCellBits = static_cast<int>(
+            bitsForCount(std::min(encodedBits, w)));
+    }
+    levelActs.resize(widths.size() * nLevels);
+    levelRemSig.resize(widths.size() * nLevels);
+    for (std::size_t u = 0; u < widths.size(); ++u) {
+        int remaining = -1;
+        for (std::size_t t = nLevels; t-- > 0;) {
+            unsigned acts = 0;
+            int sig = -1;
+            for (const auto &seg : levels[t].segments) {
+                if (seg.k >= widths[u])
                     continue;
-                std::int16_t *gT =
-                    &gateTBatch[static_cast<std::size_t>(kc) *
-                                blockSize * kg];
-                gate->forEachSetBit([&](std::size_t j) {
-                    gT[j * kg + idx] = 1;
-                });
+                acts += seg.width();
+                sig = std::max(sig, static_cast<int>(seg.bHi + seg.k));
             }
-        }
-
-        std::size_t aliveGroup = 0;
-        for (unsigned c : cols)
-            aliveGroup += alive[c];
-
-        sumBatch.assign(kg, 0);
-        actBatch.assign(kg, 0);
-
-        // --- group-granular execution (all columns of this width) --
-        for (std::size_t g = 0;
-             g < groups.size() && aliveGroup > 0; ++g) {
-            const ScheduleGroup &group = groups[g];
-
-            // Per-column bookkeeping: a column participates in this
-            // group iff it still has alive rows, mirroring the
-            // single-RHS loop-exit condition.
-            for (unsigned c : cols) {
-                if (alive[c] == 0)
-                    continue;
-                ClusterStats &cs = colStats[c];
-                ++cs.groupsExecuted;
-                cs.xbarActivations += group.activations();
-                cs.adcConversions +=
-                    static_cast<std::uint64_t>(
-                        group.activations()) * alive[c];
-                cs.conversionsSkipped +=
-                    static_cast<std::uint64_t>(
-                        group.activations()) *
-                    (blockSize - alive[c]);
-                cs.arrayEnergy += group.activations() * arrayOpE;
-                const std::uint8_t *done =
-                    doneBatch.data() +
-                    static_cast<std::size_t>(c) * blockSize;
-                for (const auto &seg : group.segments) {
-                    for (unsigned b = seg.bLo; b <= seg.bHi; ++b) {
-                        const double *ce = &adcConvE[
-                            static_cast<std::size_t>(b) * blockSize];
-                        for (unsigned i = 0; i < blockSize; ++i) {
-                            if (done[i])
-                                continue;
-                            cs.adcEnergy += ce[i];
-                        }
-                    }
-                }
-            }
-
-            // Functional contribution, k-wide. Within a group the
-            // sign-magnitude adds are exact integer arithmetic, so
-            // the accumulator value after the group is invariant
-            // under regrouping: a row's gated int16 deltas collapse
-            // into one int32 sum per column (bounded by nnz * 2^15 <
-            // 2^31) and land in a single two-word add -- bitwise the
-            // state the element-order single-RHS adds reach, and the
-            // termination checks that observe it only run between
-            // groups.
-            for (const auto &seg : group.segments) {
-                bool anyGate = false;
-                for (unsigned c : cols) {
-                    if (sliceByK[c][seg.k]) {
-                        anyGate = true;
-                        break;
-                    }
-                }
-                if (!anyGate)
-                    continue;
-                const RangeTable &tab =
-                    rangeTable(seg.bLo, seg.bHi);
-                const unsigned shift = seg.bLo + seg.k;
-                if (tab.small) {
-                    const std::int16_t *gT = &gateTBatch[
-                        static_cast<std::size_t>(seg.k) * blockSize *
-                        kg];
-                    const std::int16_t *d = tab.delta.data();
-                    std::int32_t *const s = sumBatch.data();
-                    std::uint8_t *const act = actBatch.data();
-                    for (unsigned i = 0; i < blockSize; ++i) {
-                        bool anyAlive = false;
-                        for (std::size_t idx = 0; idx < kg; ++idx) {
-                            const bool a = !doneBatch[
-                                static_cast<std::size_t>(cols[idx]) *
-                                    blockSize + i];
-                            act[idx] = a ? 1 : 0;
-                            anyAlive |= a;
-                        }
-                        if (!anyAlive)
-                            continue;
-                        for (std::size_t idx = 0; idx < kg; ++idx)
-                            s[idx] = 0;
-                        for (std::uint32_t e = rowPtr[i];
-                             e < rowPtr[i + 1]; ++e) {
-                            const std::int32_t dv = d[e];
-                            if (dv == 0)
-                                continue;
-                            const std::int16_t *g = &gT[
-                                static_cast<std::size_t>(
-                                    elemCol[e]) * kg];
-                            for (std::size_t idx = 0; idx < kg;
-                                 ++idx)
-                                s[idx] += dv * g[idx];
-                        }
-                        for (std::size_t idx = 0; idx < kg; ++idx) {
-                            if (!act[idx])
-                                continue;
-                            const std::int32_t m = s[idx];
-                            if (m == 0)
-                                continue;
-                            addSmall(
-                                accBatch[static_cast<std::size_t>(
-                                             cols[idx]) *
-                                             blockSize + i],
-                                m < 0,
-                                static_cast<std::uint64_t>(
-                                    m < 0 ? -static_cast<std::int64_t>(
-                                                m)
-                                          : m),
-                                shift);
-                        }
-                    }
-                } else {
-                    // Wide range (vertical schedules): element-wise
-                    // adds per column, the single-RHS inner loop.
-                    for (unsigned c : cols) {
-                        const BitVec *gate = sliceByK[c][seg.k];
-                        if (!gate)
-                            continue;
-                        SignedAcc *const acc =
-                            accBatch.data() +
-                            static_cast<std::size_t>(c) * blockSize;
-                        const std::uint8_t *done =
-                            doneBatch.data() +
-                            static_cast<std::size_t>(c) * blockSize;
-                        for (unsigned i = 0; i < blockSize; ++i) {
-                            if (done[i])
-                                continue;
-                            for (std::uint32_t e = rowPtr[i];
-                                 e < rowPtr[i + 1]; ++e) {
-                                if (!gate->get(
-                                        static_cast<std::size_t>(
-                                            elemCol[e])))
-                                    continue;
-                                if (tab.magW[e].isZero())
-                                    continue;
-                                U256 v = U256::from(tab.magW[e]);
-                                v <<= shift;
-                                acc[i].add(tab.negW[e] != 0, v);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Early termination check (between groups), per column.
-            if (!cfg.earlyTermination)
-                continue;
-            const int remSig =
-                schedule.maxRemainingSignificance(g);
-            if (remSig < 0)
-                break; // grid exhausted; exact completion below
-            const int bound = remSig + static_cast<int>(nBits) +
-                              sigCellBits + 2;
-            for (unsigned c : cols) {
-                if (alive[c] == 0)
-                    continue;
-                SignedAcc *const acc =
-                    accBatch.data() +
-                    static_cast<std::size_t>(c) * blockSize;
-                std::uint8_t *const done =
-                    doneBatch.data() +
-                    static_cast<std::size_t>(c) * blockSize;
-                const std::span<double> yc = Y.subspan(
-                    static_cast<std::size_t>(c) * blockSize,
-                    blockSize);
-                for (unsigned i = 0; i < blockSize; ++i) {
-                    if (done[i])
-                        continue;
-                    U256 decoded = acc[i].mag;
-                    int boundDec = bound;
-                    if (cfg.anProtect) {
-                        decoded.divSmall(cfg.anConstant);
-                        boundDec = bound - anShift + 2;
-                    }
-                    if (settled(decoded, boundDec,
-                                cfg.targetMantissaBits + 3)) {
-                        done[i] = 1;
-                        --alive[c];
-                        --aliveGroup;
-                        ++colStats[c].columnsEarlyTerminated;
-                        yc[i] = convert(acc[i], outScale[c], false);
-                    }
-                }
-            }
-        }
-
-        // Exact completion + timing for this width group's columns.
-        for (unsigned c : cols) {
-            const SignedAcc *acc =
-                accBatch.data() +
-                static_cast<std::size_t>(c) * blockSize;
-            const std::uint8_t *done =
-                doneBatch.data() +
-                static_cast<std::size_t>(c) * blockSize;
-            const std::span<double> yc = Y.subspan(
-                static_cast<std::size_t>(c) * blockSize, blockSize);
-            for (unsigned i = 0; i < blockSize; ++i) {
-                if (!done[i])
-                    yc[i] = convert(acc[i], outScale[c], true);
-            }
-            ClusterStats &cs = colStats[c];
-            cs.cycles = cs.groupsExecuted * cfg.size + 12;
-            cs.latency =
-                static_cast<double>(cs.cycles) / cfg.xbar.fClkHz;
-            cs.energy = cs.arrayEnergy + cs.adcEnergy;
+            levelActs[u * nLevels + t] = acts;
+            levelRemSig[u * nLevels + t] = remaining;
+            remaining = std::max(remaining, sig);
         }
     }
 
+    // Ensure every range's contribution table exists before the
+    // level loop takes references (rangeTable() may reallocate).
+    for (const ScheduleGroup &group : levels) {
+        for (const auto &seg : group.segments)
+            rangeTable(seg.bLo, seg.bHi);
+    }
+
+    // Gate transpose: per (vector slice k, element column j) a
+    // k-wide 0/1 row, so the inner loop reads the gates of all
+    // columns in one contiguous stride instead of probing k bitmaps
+    // per element. Slices past a column's width stay 0.
+    gateTBatch.assign(static_cast<std::size_t>(maxBits) * panel, 0);
+    for (unsigned c = 0; c < k; ++c) {
+        const auto &sliceByK = columns[c].sliceByK;
+        for (unsigned kc = 0; kc < sliceByK.size(); ++kc) {
+            const BitVec *gate = sliceByK[kc];
+            if (!gate)
+                continue;
+            std::int8_t *gT = &gateTBatch[kc * panel];
+            gate->forEachSetBit([&](std::size_t j) {
+                gT[j * k + c] = 1;
+            });
+        }
+    }
+    const auto gateOf = [&](unsigned c, unsigned kc) -> const BitVec * {
+        const auto &sliceByK = columns[c].sliceByK;
+        return kc < sliceByK.size() ? sliceByK[kc] : nullptr;
+    };
+
+    std::size_t aliveTotal = 0;
+    for (unsigned c = 0; c < k; ++c)
+        aliveTotal += columns[c].alive;
+
+    sumBatch.assign(k, 0);
+    actBatch.assign(k, 0);
+
+    // --- level-granular execution (all columns) ---------------------
+    for (std::size_t t = 0; t < nLevels && aliveTotal > 0; ++t) {
+        const auto &segs = levels[t].segments;
+
+        // Per-column bookkeeping on the column's own group, this
+        // level's segments with slice below the column's width: a
+        // column takes part iff it has joined and still has alive
+        // rows. ADC conversions: every active crossbar scans the
+        // alive rows; terminated rows are skipped (Section III-B).
+        // Energy: full-array activation energy per crossbar op (the
+        // whole array pulls current regardless of how many rows
+        // convert) plus per-conversion ADC energy from the per-(slice,
+        // row) table program() resolved.
+        for (unsigned c = 0; c < k; ++c) {
+            PanelColumn &col = columns[c];
+            if (col.alive == 0 || t < col.joinLevel)
+                continue;
+            const unsigned acts =
+                levelActs[col.widthIdx * nLevels + t];
+            ClusterStats &cs = col.stats;
+            ++cs.groupsExecuted;
+            cs.xbarActivations += acts;
+            cs.adcConversions +=
+                static_cast<std::uint64_t>(acts) * col.alive;
+            cs.conversionsSkipped +=
+                static_cast<std::uint64_t>(acts) *
+                (blockSize - col.alive);
+            cs.arrayEnergy += acts * arrayOpE;
+            const unsigned w = col.ux.width();
+            const std::uint8_t *done = doneBatch.data() + c * n;
+            for (const auto &seg : segs) {
+                if (seg.k >= w)
+                    continue;
+                for (unsigned b = seg.bLo; b <= seg.bHi; ++b) {
+                    const double *ce = &adcConvE[b * n];
+                    for (unsigned i = 0; i < blockSize; ++i) {
+                        if (done[i])
+                            continue;
+                        cs.adcEnergy += ce[i];
+                    }
+                }
+            }
+        }
+
+        // Functional contribution, k-wide. Within a group the
+        // sign-magnitude adds are exact integer arithmetic, so the
+        // accumulator value after the group is invariant under
+        // regrouping: a row's gated int16 deltas collapse into one
+        // int32 sum per column (bounded by nnz * 2^15 < 2^31) and
+        // land in a single two-word add -- bitwise the state
+        // element-order adds reach, and the termination checks that
+        // observe it only run between groups. A segment outside a
+        // column's group has slice >= its width, so its gates are 0
+        // and the column's sum stays 0: no add.
+        for (const auto &seg : segs) {
+            bool anyGate = false;
+            for (unsigned c = 0; c < k && !anyGate; ++c)
+                anyGate = gateOf(c, seg.k) != nullptr;
+            if (!anyGate)
+                continue;
+            const RangeTable &tab = rangeTable(seg.bLo, seg.bHi);
+            const unsigned shift = seg.bLo + seg.k;
+            if (tab.small) {
+                const std::int8_t *gT = &gateTBatch[seg.k * panel];
+                const std::int16_t *d = tab.delta.data();
+                std::int32_t *const s = sumBatch.data();
+                std::uint8_t *const act = actBatch.data();
+                for (unsigned i = 0; i < blockSize; ++i) {
+                    bool anyAlive = false;
+                    for (unsigned c = 0; c < k; ++c) {
+                        const bool a = !doneBatch[c * n + i];
+                        act[c] = a ? 1 : 0;
+                        anyAlive |= a;
+                    }
+                    if (!anyAlive)
+                        continue;
+                    for (unsigned c = 0; c < k; ++c)
+                        s[c] = 0;
+                    for (std::uint32_t e = rowPtr[i];
+                         e < rowPtr[i + 1]; ++e) {
+                        const std::int32_t dv = d[e];
+                        if (dv == 0)
+                            continue;
+                        const std::int8_t *gr = &gT[
+                            static_cast<std::size_t>(elemCol[e]) * k];
+                        for (unsigned c = 0; c < k; ++c)
+                            s[c] += dv * gr[c];
+                    }
+                    for (unsigned c = 0; c < k; ++c) {
+                        if (!act[c])
+                            continue;
+                        const std::int32_t m = s[c];
+                        if (m == 0)
+                            continue;
+                        addSmall(accBatch[c * n + i], m < 0,
+                                 static_cast<std::uint64_t>(
+                                     m < 0
+                                         ? -static_cast<std::int64_t>(m)
+                                         : m),
+                                 shift);
+                    }
+                }
+            } else {
+                // Wide range (vertical schedules): element-wise adds
+                // per column. A zero delta is an exact no-op on the
+                // sign-magnitude accumulator and is skipped.
+                for (unsigned c = 0; c < k; ++c) {
+                    const BitVec *gate = gateOf(c, seg.k);
+                    if (!gate)
+                        continue;
+                    SignedAcc *const acc = accBatch.data() + c * n;
+                    const std::uint8_t *done = doneBatch.data() + c * n;
+                    for (unsigned i = 0; i < blockSize; ++i) {
+                        if (done[i])
+                            continue;
+                        for (std::uint32_t e = rowPtr[i];
+                             e < rowPtr[i + 1]; ++e) {
+                            if (!gate->get(static_cast<std::size_t>(
+                                    elemCol[e])))
+                                continue;
+                            if (tab.magW[e].isZero())
+                                continue;
+                            U256 v = U256::from(tab.magW[e]);
+                            v <<= shift;
+                            acc[i].add(tab.negW[e] != 0, v);
+                        }
+                    }
+                }
+            }
+        }
+
+        // Early termination check (between groups), per column.
+        if (!cfg.earlyTermination)
+            continue;
+        for (unsigned c = 0; c < k; ++c) {
+            PanelColumn &col = columns[c];
+            if (col.alive == 0 || t < col.joinLevel)
+                continue;
+            const int remSig =
+                levelRemSig[col.widthIdx * nLevels + t];
+            if (remSig < 0)
+                continue; // grid exhausted; exact completion below
+            // Remaining contribution bound: each remaining cell
+            // (b, k) contributes at most N * 2^(b+k); at most
+            // min(B, K) cells share a significance level, and the
+            // geometric sum over levels <= remSig doubles the top
+            // one.
+            const int bound = remSig + static_cast<int>(nBits) +
+                              col.sigCellBits + 2;
+            SignedAcc *const acc = accBatch.data() + c * n;
+            std::uint8_t *const done = doneBatch.data() + c * n;
+            double *const yc = Y.data() + c * n;
+            for (unsigned i = 0; i < blockSize; ++i) {
+                if (done[i])
+                    continue;
+                U256 decoded = acc[i].mag;
+                int boundDec = bound;
+                if (cfg.anProtect) {
+                    decoded.divSmall(cfg.anConstant);
+                    boundDec = bound - anShift + 2;
+                }
+                if (settled(decoded, boundDec,
+                            cfg.targetMantissaBits + 3)) {
+                    done[i] = 1;
+                    --col.alive;
+                    --aliveTotal;
+                    ++col.stats.columnsEarlyTerminated;
+                    yc[i] = convert(acc[i], col.outScale, false);
+                }
+            }
+        }
+    }
+
+    // Exact completion for rows that never terminated early, then
+    // timing.
+    for (unsigned c = 0; c < k; ++c) {
+        PanelColumn &col = columns[c];
+        const SignedAcc *acc = accBatch.data() + c * n;
+        const std::uint8_t *done = doneBatch.data() + c * n;
+        double *const yc = Y.data() + c * n;
+        for (unsigned i = 0; i < blockSize; ++i) {
+            if (!done[i])
+                yc[i] = convert(acc[i], col.outScale, true);
+        }
+        ClusterStats &cs = col.stats;
+        cs.cycles = cs.groupsExecuted * cfg.size + 12;
+        cs.latency = static_cast<double>(cs.cycles) / cfg.xbar.fClkHz;
+        cs.energy = cs.arrayEnergy + cs.adcEnergy;
+    }
+
     // Aggregate in column order: bitwise the sum a caller looping
-    // the single-RHS path and folding its stats would compute.
+    // single-vector calls and folding their stats would compute.
     ClusterStats agg;
     for (unsigned c = 0; c < k; ++c)
-        agg += colStats[c];
-    if (colStatsOut)
-        *colStatsOut = std::move(colStats);
+        agg += columns[c].stats;
+    if (colStatsOut) {
+        colStatsOut->resize(k);
+        for (unsigned c = 0; c < k; ++c)
+            (*colStatsOut)[c] = columns[c].stats;
+    }
     return agg;
 }
 

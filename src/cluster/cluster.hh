@@ -84,8 +84,6 @@ struct ClusterProgramInfo
     double programEnergy = 0.0; //!< joules
     unsigned cicInvertedColumns = 0;
     unsigned cicCornerCases = 0;
-    std::size_t droppedElems = 0; //!< exp-range evictions (callers
-                                  //!< should have filtered already)
 };
 
 /** Per-multiply statistics. */
@@ -108,15 +106,20 @@ struct ClusterStats
     double arrayEnergy = 0.0; //!< joules (subset of energy)
 };
 
-/** Field-wise sum; the batched multiply reports the per-column stats
+/** Field-wise sum; the panel multiply reports the per-column stats
  *  folded in column order through this, so the aggregate is bitwise
- *  what summing k single-RHS results in the same order yields. */
+ *  what summing k single-vector results in the same order yields. */
 ClusterStats &operator+=(ClusterStats &into, const ClusterStats &s);
 
 /**
  * Functional cluster. program() maps a block; multiply() performs
  * the block MVM at the (matrix slice x vector slice) group
- * granularity the hardware uses.
+ * granularity the hardware uses. One kernel serves every call: a
+ * single vector is the k = 1 panel.
+ *
+ * Per-cluster scratch makes multiply() non-re-entrant: concurrent
+ * callers each need their own Cluster (the operator adapters give
+ * every block its own cluster).
  */
 class Cluster
 {
@@ -136,7 +139,8 @@ class Cluster
     ClusterProgramInfo program(const MatrixBlock &block);
 
     /**
-     * y[i] = round(sum_j block[i][j] * x[j]) for every block row i.
+     * y[i] = round(sum_j block[i][j] * x[j]) for every block row i:
+     * the k = 1 case of the panel multiply below.
      *
      * @param x        local input vector (block size)
      * @param y        output (block size); overwritten
@@ -150,26 +154,26 @@ class Cluster
                           std::vector<std::int32_t> *peeled = nullptr);
 
     /**
-     * Batched multi-RHS multiply: Y column c = round(block * X
-     * column c) for k right-hand sides, bitwise identical to k
-     * single-RHS multiply() calls in column order.
+     * Panel multiply: Y column c = round(block * X column c) for k
+     * right-hand sides. Every column is computed independently, so
+     * the result is bitwise what k single-vector calls in column
+     * order return.
      *
      * @param X       column-major panel, k columns of block size
      * @param Y       column-major output panel; overwritten
      * @param k       number of right-hand sides (>= 1)
      * @param peeled  optional out: resized to k; entry c receives the
      *                peeled vector-element indices of column c (see
-     *                the single-RHS overload)
+     *                the single-vector overload)
      *
-     * The contribution tables, ADC energy tables, and gate-bitmap
-     * transposes are built once and shared across all k columns;
-     * per-column trajectory state (gates, termination, stats,
+     * All k columns share one walk of the schedule levels and one
+     * gate transpose, whatever their vector widths; per-column
+     * trajectory state (gates, schedule, termination, stats,
      * peeling) is kept independent. Returns the per-column stats
      * folded in column order (operator+=); @p colStats (optional)
-     * receives the k per-column records, each bitwise what the
-     * corresponding single-RHS call returns -- callers that fold
-     * stats across blocks AND columns (the operator adapters) need
-     * them to reproduce the sequential fold order exactly.
+     * receives the k per-column records -- callers that fold stats
+     * across blocks AND columns (the operator adapters) need them to
+     * reproduce the sequential fold order exactly.
      */
     ClusterStats multiply(
         std::span<const double> X, std::span<double> Y, unsigned k,
@@ -212,12 +216,11 @@ class Cluster
      * Precomputed per-(bLo, bHi) contribution table: the signed
      * masked difference ((stored & mask) - (storedBias & mask)) >>
      * bLo per element. It depends only on the programmed data, so
-     * program() invalidates the cache and every multiply -- single-
-     * or multi-RHS -- builds a range lazily on first use and reuses
-     * it across columns and across calls. Ranges narrow enough for
-     * int16 deltas (width <= 15; every skewed schedule in practice)
-     * use a flat int16 table; wider ranges fall back to sign + U128
-     * magnitude.
+     * program() invalidates the cache and every multiply builds a
+     * range lazily on first use and reuses it across columns and
+     * across calls. Ranges narrow enough for int16 deltas (width <=
+     * 15; every skewed schedule in practice) use a flat int16 table;
+     * wider ranges fall back to sign + U128 magnitude.
      */
     struct RangeTable
     {
@@ -228,13 +231,22 @@ class Cluster
         std::vector<U128> magW;          //!< wide: |delta| >> bLo
     };
 
-    /** One segment of a schedule group, resolved to its kernel
-     *  inputs: contribution table, gating slice, and weight. */
-    struct SegKernel
+    /** Per-column state of a panel multiply: the input-dependent
+     *  front end (encoded vector, output scale, active slices and
+     *  their lookup by slice index, place in the level walk) and
+     *  the column's trajectory (alive rows, stats). Members of the
+     *  cluster, so steady-state calls reuse the buffers. */
+    struct PanelColumn
     {
-        const RangeTable *tab = nullptr;
-        const BitVec *gate = nullptr;
-        unsigned shift = 0; //!< bLo + k
+        BiasedSet ux;
+        int outScale = 0;
+        std::vector<VectorSlice> vslices; //!< stale past active count
+        std::vector<const BitVec *> sliceByK; //!< null: zero slice
+        std::size_t widthIdx = 0;  //!< index into widths
+        std::size_t joinLevel = 0; //!< level of its first group
+        int sigCellBits = 0;
+        std::size_t alive = 0;
+        ClusterStats stats;
     };
 
     /** Lazily built table for the range (bLo, bHi) of the current
@@ -242,15 +254,15 @@ class Cluster
     const RangeTable &rangeTable(unsigned bLo, unsigned bHi);
 
     /** Add m * 2^shift to @p a without materializing a full-width
-     *  shifted temporary: at most two words are nonzero (m < 2^63,
-     *  which covers both the single int16 delta and the batched
-     *  per-row delta sum, bounded by nnz * 2^15). */
+     *  shifted temporary: at most two words are nonzero (m < 2^63
+     *  covers a row's per-segment delta sum, bounded by
+     *  nnz * 2^15). */
     static void addSmall(SignedAcc &a, bool neg, std::uint64_t m,
                          unsigned shift);
 
     /** Exponent-window peeling of an input vector: copy x into
      *  masked with out-of-window elements zeroed, recording their
-     *  indices. Shared by the single- and multi-RHS paths. */
+     *  indices. */
     void peelVector(std::span<const double> x,
                     std::span<double> masked, ClusterStats &stats,
                     std::vector<std::int32_t> *peeled);
@@ -280,9 +292,6 @@ class Cluster
     std::vector<U256> elemStored; //!< biased (and AN-coded) operands
     /** Signed row sums of aligned coefficients (for vector debias). */
     std::vector<SignedAcc> rowSumF;
-    /** Per (slice b, block row i): stored ones count, for CIC and
-     *  ADC headstart accounting. */
-    std::vector<std::vector<std::uint16_t>> sliceOnes;
     /** Per (slice b, block row i), flattened b * blockSize + i: ADC
      *  conversion energy with the headstart preset resolved. Built by
      *  program(); turns the per-group energy accounting into a gated
@@ -295,25 +304,26 @@ class Cluster
     std::vector<RangeTable> tables;
     std::vector<std::int16_t> tableIdx;
 
-    // Reusable per-call scratch, hoisted out of the multiply hot
-    // paths so steady-state calls stop allocating (the aligners'
-    // internal vectors are the only per-call allocations left).
-    std::vector<double> maskedScratch;
-    std::vector<std::pair<int, std::int32_t>> expsScratch;
-    std::vector<SignedAcc> accScratch;
-    std::vector<std::uint8_t> doneScratch;
-    std::vector<VectorSlice> vslicesScratch;
-    std::vector<const BitVec *> sliceByKScratch;
-    std::vector<SegKernel> kernelScratch;
-    // Batched-path scratch: per-column accumulators/termination
+    // Reusable per-call scratch, hoisted out of multiply() so
+    // steady-state calls stop allocating (the aligners' and the
+    // schedule's internal vectors are the only per-call allocations
+    // left): per-column state, the per-width level tables, the
+    // peeled inputs, per-(column, row) accumulators and termination
     // flags, the per-(slice k, element, column) gate transpose, and
     // the k-wide delta sums of the inner loop.
+    std::vector<std::pair<int, std::int32_t>> expsScratch;
+    std::vector<PanelColumn> columns;
+    std::vector<unsigned> widths;    //!< the panel's distinct widths
+    std::vector<unsigned> levelActs; //!< per (width, level)
+    std::vector<int> levelRemSig;    //!< per (width, level)
+    std::vector<double> maskedBatch;
     std::vector<SignedAcc> accBatch;
     std::vector<std::uint8_t> doneBatch;
-    std::vector<double> maskedBatch;
-    std::vector<std::int16_t> gateTBatch;
+    std::vector<std::int8_t> gateTBatch;
     std::vector<std::int32_t> sumBatch;
     std::vector<std::uint8_t> actBatch;
+    /** The single-vector overload's one-column peel list. */
+    std::vector<std::vector<std::int32_t>> peeledOne;
 };
 
 } // namespace msc

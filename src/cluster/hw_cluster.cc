@@ -28,8 +28,7 @@ constinit telemetry::Counter
  * 4-limb accumulator with explicit carry chains -- the same integer
  * sum addShifted computes, without a U256 temporary per read.
  * Overflow past limb 3 is discarded exactly as addShifted discards
- * bits above 2^256. Shared verbatim by the single- and multi-RHS
- * exact-read paths so they cannot diverge.
+ * bits above 2^256.
  */
 inline U256
 reduceRowSlice(const std::uint64_t *rowCols,
@@ -261,10 +260,20 @@ HwClusterStats
 HwCluster::multiply(std::span<const double> x, std::span<double> y,
                     Rng *rng)
 {
+    return multiply(x, y, 1, rng);
+}
+
+HwClusterStats
+HwCluster::multiply(std::span<const double> X, std::span<double> Y,
+                    unsigned k, Rng *rng)
+{
     if (!programmed)
         fatal("HwCluster::multiply: program() first");
-    if (x.size() != blockSize || y.size() != blockSize)
-        fatal("HwCluster::multiply: vector size mismatch");
+    if (k == 0)
+        fatal("HwCluster::multiply: batch needs at least one column");
+    const std::size_t n = blockSize;
+    if (X.size() != n * k || Y.size() != n * k)
+        fatal("HwCluster::multiply: panel size mismatch");
 
     telemetry::Span span("hw.multiply");
     HwClusterStats stats;
@@ -273,59 +282,65 @@ HwCluster::multiply(std::span<const double> x, std::span<double> y,
             stats.cicInvertedColumns +=
                 xbar.columnInverted(i) ? 1 : 0;
     }
+    // Every column reports the same census.
+    stats.cicInvertedColumns *= k;
 
-    // Vector alignment (no peeling here: the verification harness
-    // feeds in-range vectors; out-of-range input is a fatal).
-    const AlignedSet vx = alignValues(x);
-    const BiasedSet ux = biasEncode(vx);
-    const int outScale = blockScale + vx.scale;
-
-    const ColumnReadModel readModel(cfg.cell);
-
-    // Running sums initialized with the folded vector-bias
-    // correction -bX * rowSumF (known at apply time).
-    accScratch.assign(blockSize, SignedWord{});
-    SignedWord *const acc = accScratch.data();
-    for (unsigned i = 0; i < blockSize; ++i) {
-        U256 init = rowSumF[i].mag << ux.biasBits;
-        if (cfg.anProtect)
-            init.mulSmall(cfg.anConstant);
-        acc[i].neg = !rowSumF[i].neg;
-        acc[i].mag = init;
-        if (init.isZero())
-            acc[i].neg = false;
-    }
-
-    // 1. Build the active vector slices (MSB first) once: they are
+    // 1. Per-column front end. Vector alignment (no peeling here:
+    // the verification harness feeds in-range vectors; out-of-range
+    // input is a fatal), then the active vector slices (MSB first),
     // shared read-only by every output row. The de-bias term of a
     // reduced word, storedBias * popcount(slice), depends only on
     // the slice, so it is precomputed here instead of per (row,
-    // slice) in the scan.
-    const std::size_t nActive = activeBitSlices(ux, vslicesScratch);
-    const VectorSlice *const active = vslicesScratch.data();
-    biasTermsScratch.clear();
-    for (std::size_t si = 0; si < nActive; ++si) {
-        U256 term = storedBias;
-        term.mulSmall(active[si].pc);
-        biasTermsScratch.push_back(term);
+    // slice) in the scan. Running sums start from the folded
+    // vector-bias correction -bX * rowSumF (known at apply time).
+    accScratch.assign(n * k, SignedWord{});
+    columns.resize(k);
+    for (unsigned c = 0; c < k; ++c) {
+        PanelColumn &col = columns[c];
+        const AlignedSet vx = alignValues(X.subspan(c * n, n));
+        const BiasedSet ux = biasEncode(vx);
+        col.outScale = blockScale + vx.scale;
+        col.nActive = activeBitSlices(ux, col.vslices);
+        col.biasTerms.clear();
+        for (std::size_t si = 0; si < col.nActive; ++si) {
+            U256 term = storedBias;
+            term.mulSmall(col.vslices[si].pc);
+            col.biasTerms.push_back(term);
+        }
+        SignedWord *const acc = accScratch.data() + c * n;
+        for (unsigned i = 0; i < blockSize; ++i) {
+            U256 init = rowSumF[i].mag << ux.biasBits;
+            if (cfg.anProtect)
+                init.mulSmall(cfg.anConstant);
+            acc[i].neg = !rowSumF[i].neg;
+            acc[i].mag = init;
+            if (init.isZero())
+                acc[i].neg = false;
+        }
     }
 
     // Exact reads are popcounts against the stored column bits, so
     // flatten every (row, slice) column into one contiguous word
     // matrix up front -- [row][slice][word], inner scan order -- and
     // hoist the CIC flags next to it. One multiply reads each column
-    // activeSlices times; the flatten pays the BitVec indirections
-    // once instead of per read. Analog reads keep drawing through
-    // the device model, which owns the noise stream order.
+    // once per active slice of every vector; the flatten pays the
+    // BitVec indirections once instead of per read. Analog reads
+    // keep drawing through the device model, which owns the noise
+    // stream order.
     const unsigned nw =
         static_cast<unsigned>((blockSize + 63) / 64);
     if (!cfg.analogReads)
         flattenColumns(nw);
+    const ColumnReadModel readModel(cfg.cell);
+    const bool fastReads = !cfg.analogReads && !injector;
 
-    // One output row through every active slice: steps 2-6 of the
-    // dataflow. Rows are independent of each other.
-    auto scanRow = [&](unsigned i, Rng *rowRng,
+    // One output row of column c through every active slice: steps
+    // 2-6 of the dataflow. Rows and columns are independent of each
+    // other.
+    auto scanRow = [&](unsigned i, unsigned c, Rng *rowRng,
                        HwClusterStats &st) {
+        const PanelColumn &col = columns[c];
+        SignedWord &a = accScratch[c * n + i];
         const std::uint64_t *rowCols = cfg.analogReads
             ? nullptr
             : &colWordsScratch[
@@ -333,9 +348,8 @@ HwCluster::multiply(std::span<const double> x, std::span<double> y,
         const std::uint8_t *rowInv = cfg.analogReads
             ? nullptr
             : &colInvScratch[static_cast<std::size_t>(i) * nSlices];
-        const bool fastReads = !cfg.analogReads && !injector;
-        for (std::size_t si = 0; si < nActive; ++si) {
-            const VectorSlice &vs = active[si];
+        for (std::size_t si = 0; si < col.nActive; ++si) {
+            const VectorSlice &vs = col.vslices[si];
             const std::uint64_t *in = vs.bits.raw().data();
             // 2. + 3. ADC scans and shift-and-add reduction.
             U256 reduced;
@@ -353,11 +367,11 @@ HwCluster::multiply(std::span<const double> x, std::span<double> y,
                     } else {
                         const std::uint64_t *cw = rowCols +
                             static_cast<std::size_t>(b) * nw;
-                        std::uint64_t n = 0;
+                        std::uint64_t pop = 0;
                         for (unsigned w = 0; w < nw; ++w)
-                            n += static_cast<std::uint64_t>(
+                            pop += static_cast<std::uint64_t>(
                                 std::popcount(cw[w] & in[w]));
-                        count = static_cast<std::int64_t>(n);
+                        count = static_cast<std::int64_t>(pop);
                         invertedCol = rowInv[b] != 0;
                     }
                     // Transient upsets and stuck ADC columns strike
@@ -383,7 +397,7 @@ HwCluster::multiply(std::span<const double> x, std::span<double> y,
             ++st.sliceWords;
 
             // 4. de-bias: subtract storedBias * popcount.
-            const U256 &biasTerm = biasTermsScratch[si];
+            const U256 &biasTerm = col.biasTerms[si];
             SignedWord word;
             if (reduced >= biasTerm) {
                 word.neg = false;
@@ -411,218 +425,69 @@ HwCluster::multiply(std::span<const double> x, std::span<double> y,
             }
 
             // 6. update the running sum at weight 2^k.
-            acc[i].add(word.neg, word.mag << vs.k);
+            a.add(word.neg, word.mag << vs.k);
         }
     };
 
-    if (injector) {
-        // faultedRead mutates shared injector state (its transient
-        // stream and counters), so an attached injector pins the
-        // scan to the sequential row-major order.
-        for (unsigned i = 0; i < blockSize; ++i)
-            scanRow(i, rng, stats);
-    } else {
-        // Per-row noise streams are split off the caller's generator
-        // up front, in row order, so the draws a row sees depend
-        // only on its index -- never on the lane count.
-        std::vector<Rng> rowRngs;
+    // Exact reads with no injector scan all k columns inside one
+    // row-parallel pass. Analog reads and an attached injector own
+    // the order of their noise draws and fault streams, so they scan
+    // one column at a time, each exactly as a single-vector call
+    // does. The stats are order-independent integer totals, so the
+    // per-row merge equals k sequential merges.
+    const unsigned chunk = fastReads ? k : 1;
+    std::vector<Rng> rowRngs;
+    for (unsigned c0 = 0; c0 < k; c0 += chunk) {
+        if (injector) {
+            // faultedRead mutates shared injector state (its
+            // transient stream and counters), so an attached
+            // injector pins the scan to the sequential row order.
+            for (unsigned i = 0; i < blockSize; ++i)
+                scanRow(i, c0, rng, stats);
+            continue;
+        }
+        // Per-row noise streams are split off the caller's
+        // generator just before the column's scan, in row order, so
+        // the draws a row sees depend only on its index -- never on
+        // the lane count.
+        rowRngs.clear();
         if (cfg.analogReads && rng) {
-            rowRngs.reserve(blockSize);
             for (unsigned i = 0; i < blockSize; ++i)
                 rowRngs.emplace_back(rng->next());
         }
         partScratch.assign(blockSize, HwClusterStats{});
         parallelFor(blockSize, [&](std::size_t i) {
-            scanRow(static_cast<unsigned>(i),
-                    rowRngs.empty() ? nullptr : &rowRngs[i],
-                    partScratch[i]);
+            Rng *rowRng = rowRngs.empty() ? nullptr : &rowRngs[i];
+            for (unsigned c = c0; c < c0 + chunk; ++c) {
+                scanRow(static_cast<unsigned>(i), c, rowRng,
+                        partScratch[i]);
+            }
         });
-        for (const HwClusterStats &p : partScratch) {
-            stats.sliceWords += p.sliceWords;
-            stats.cleanWords += p.cleanWords;
-            stats.correctedWords += p.correctedWords;
-            stats.uncorrectableWords += p.uncorrectableWords;
-        }
+        for (const HwClusterStats &p : partScratch)
+            stats += p;
     }
 
-    // Final conversion: decode and round.
-    for (unsigned i = 0; i < blockSize; ++i) {
-        U256 mag = acc[i].mag;
-        if (cfg.anProtect) {
-            const std::uint64_t rem = mag.divSmall(cfg.anConstant);
-            if (rem != 0) {
-                // Residual uncorrected damage: fold the remainder
-                // away (truncation) and count it.
-                ++stats.uncorrectableWords;
-            }
-        }
-        y[i] = fixedToDouble(acc[i].neg, mag, outScale,
-                             cfg.rounding);
-    }
-    // Every reduced word took one ADC conversion per weight slice.
-    ctrAdc.add(stats.sliceWords * nSlices);
-    ctrAnClean.add(stats.cleanWords);
-    ctrAnCorrected.add(stats.correctedWords);
-    ctrAnUncorrectable.add(stats.uncorrectableWords);
-    ctrCicInverted.add(stats.cicInvertedColumns);
-    return stats;
-}
-
-HwClusterStats
-HwCluster::multiply(std::span<const double> X, std::span<double> Y,
-                    unsigned k, Rng *rng)
-{
-    if (!programmed)
-        fatal("HwCluster::multiply: program() first");
-    if (k == 0)
-        fatal("HwCluster::multiply: batch needs at least one column");
-    const std::size_t panel =
-        static_cast<std::size_t>(blockSize) * k;
-    if (X.size() != panel || Y.size() != panel)
-        fatal("HwCluster::multiply: panel size mismatch");
-
-    // Analog reads and attached injectors own the order of their
-    // noise draws / fault streams; that configuration must replay
-    // the k sequential single-RHS calls literally.
-    if (cfg.analogReads || injector) {
-        HwClusterStats agg;
-        for (unsigned c = 0; c < k; ++c) {
-            agg += multiply(
-                X.subspan(static_cast<std::size_t>(c) * blockSize,
-                          blockSize),
-                Y.subspan(static_cast<std::size_t>(c) * blockSize,
-                          blockSize),
-                rng);
-        }
-        return agg;
-    }
-
-    telemetry::Span span("hw.multiply_batch");
-    HwClusterStats stats;
-    for (const auto &xbar : slices) {
-        for (unsigned i = 0; i < blockSize; ++i)
-            stats.cicInvertedColumns +=
-                xbar.columnInverted(i) ? 1 : 0;
-    }
-    // Each single-RHS call reports the same census.
-    stats.cicInvertedColumns *= k;
-
-    // Per-column front end: alignment, active slices, de-bias terms,
-    // running-sum init. All input-dependent, so per column; the
-    // flatten below is the shared programmed-side state.
-    accBatch.assign(panel, SignedWord{});
-    std::vector<int> outScale(k);
-    std::vector<std::vector<VectorSlice>> activeC(k);
-    std::vector<std::vector<U256>> biasTermsC(k);
+    // Final conversion, column-major like the sequential calls:
+    // decode and round.
     for (unsigned c = 0; c < k; ++c) {
-        const AlignedSet vx = alignValues(X.subspan(
-            static_cast<std::size_t>(c) * blockSize, blockSize));
-        const BiasedSet ux = biasEncode(vx);
-        outScale[c] = blockScale + vx.scale;
-        activeC[c] = activeBitSlices(ux);
-        biasTermsC[c].reserve(activeC[c].size());
-        for (const VectorSlice &vs : activeC[c]) {
-            U256 term = storedBias;
-            term.mulSmall(vs.pc);
-            biasTermsC[c].push_back(term);
-        }
-        SignedWord *const acc =
-            accBatch.data() + static_cast<std::size_t>(c) * blockSize;
-        for (unsigned i = 0; i < blockSize; ++i) {
-            U256 init = rowSumF[i].mag << ux.biasBits;
-            if (cfg.anProtect)
-                init.mulSmall(cfg.anConstant);
-            acc[i].neg = !rowSumF[i].neg;
-            acc[i].mag = init;
-            if (init.isZero())
-                acc[i].neg = false;
-        }
-    }
-
-    // Shared flatten: built once, read by every (row, column) scan.
-    const unsigned nw =
-        static_cast<unsigned>((blockSize + 63) / 64);
-    flattenColumns(nw);
-
-    // Row-parallel scan, k columns per row: the per-(row, column)
-    // reductions and running sums are independent, and the stats
-    // counters are order-independent integer totals, so the merge
-    // equals the k sequential single-RHS merges bitwise.
-    partScratch.assign(blockSize, HwClusterStats{});
-    parallelFor(blockSize, [&](std::size_t i) {
-        HwClusterStats &st = partScratch[i];
-        const std::uint64_t *rowCols = &colWordsScratch[
-            static_cast<std::size_t>(i) * nSlices * nw];
-        const std::uint8_t *rowInv =
-            &colInvScratch[static_cast<std::size_t>(i) * nSlices];
-        for (unsigned c = 0; c < k; ++c) {
-            SignedWord &a =
-                accBatch[static_cast<std::size_t>(c) * blockSize + i];
-            const auto &active = activeC[c];
-            const auto &biasTerms = biasTermsC[c];
-            for (std::size_t si = 0; si < active.size(); ++si) {
-                const VectorSlice &vs = active[si];
-                const U256 reduced = reduceRowSlice(
-                    rowCols, rowInv, vs.bits.raw().data(), vs.pc,
-                    nSlices, nw);
-                ++st.sliceWords;
-
-                const U256 &biasTerm = biasTerms[si];
-                SignedWord word;
-                if (reduced >= biasTerm) {
-                    word.neg = false;
-                    word.mag = reduced - biasTerm;
-                } else {
-                    word.neg = true;
-                    word.mag = biasTerm - reduced;
-                }
-
-                if (cfg.anProtect) {
-                    switch (an.correctSigned(word.mag, word.neg)) {
-                      case AnCode::Outcome::Clean:
-                        ++st.cleanWords;
-                        break;
-                      case AnCode::Outcome::Corrected:
-                        ++st.correctedWords;
-                        break;
-                      case AnCode::Outcome::Uncorrectable:
-                        ++st.uncorrectableWords;
-                        break;
-                    }
-                } else {
-                    ++st.cleanWords;
-                }
-
-                a.add(word.neg, word.mag << vs.k);
-            }
-        }
-    });
-    for (const HwClusterStats &p : partScratch) {
-        stats.sliceWords += p.sliceWords;
-        stats.cleanWords += p.cleanWords;
-        stats.correctedWords += p.correctedWords;
-        stats.uncorrectableWords += p.uncorrectableWords;
-    }
-
-    // Final conversion, column-major like the sequential calls.
-    for (unsigned c = 0; c < k; ++c) {
-        const SignedWord *acc =
-            accBatch.data() + static_cast<std::size_t>(c) * blockSize;
-        const std::span<double> yc = Y.subspan(
-            static_cast<std::size_t>(c) * blockSize, blockSize);
+        const SignedWord *acc = accScratch.data() + c * n;
+        double *const yc = Y.data() + c * n;
         for (unsigned i = 0; i < blockSize; ++i) {
             U256 mag = acc[i].mag;
             if (cfg.anProtect) {
                 const std::uint64_t rem =
                     mag.divSmall(cfg.anConstant);
-                if (rem != 0)
+                if (rem != 0) {
+                    // Residual uncorrected damage: fold the
+                    // remainder away (truncation) and count it.
                     ++stats.uncorrectableWords;
+                }
             }
-            yc[i] = fixedToDouble(acc[i].neg, mag, outScale[c],
+            yc[i] = fixedToDouble(acc[i].neg, mag, columns[c].outScale,
                                   cfg.rounding);
         }
     }
-
+    // Every reduced word took one ADC conversion per weight slice.
     ctrAdc.add(stats.sliceWords * nSlices);
     ctrAnClean.add(stats.cleanWords);
     ctrAnCorrected.add(stats.correctedWords);

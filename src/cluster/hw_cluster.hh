@@ -50,7 +50,7 @@ struct HwClusterStats
 };
 
 /** Field-wise sum; every counter is an order-independent total, so
- *  the batched multiply's aggregate equals folding k single-RHS
+ *  the panel multiply's aggregate equals folding k single-vector
  *  results. */
 HwClusterStats &operator+=(HwClusterStats &into,
                            const HwClusterStats &s);
@@ -114,18 +114,21 @@ class HwCluster
     std::size_t scrub() const;
 
     /** y[i] = round(sum_j block[i][j] * x[j]) via the full hardware
-     *  dataflow. */
+     *  dataflow: the k = 1 case of the panel multiply below. */
     HwClusterStats multiply(std::span<const double> x,
                             std::span<double> y, Rng *rng = nullptr);
 
     /**
-     * Batched multi-RHS multiply over a column-major k-column panel,
-     * bitwise identical to k single-RHS multiply() calls in column
-     * order. With exact digital reads the flattened column-word
-     * matrix is built once and shared across all k columns; analog
-     * reads or an attached injector own stateful draw/fault-stream
-     * order, so that configuration replays the k sequential calls
-     * literally. Returns the per-column stats folded (operator+=).
+     * Panel multiply over a column-major k-column panel, bitwise
+     * identical to k single-vector multiply() calls in column order.
+     * Exact reads with no injector scan rows in parallel with the
+     * columns inner, sharing one flattened column-word matrix.
+     * Analog reads and an attached injector own stateful draw and
+     * fault-stream order, so they scan columns outer: per column,
+     * analog reads split per-row generators off @p rng in row order
+     * just before the scan, and an injector pins the rows to
+     * sequential order -- the draws k single-vector calls make.
+     * Returns the per-column stats folded (operator+=).
      */
     HwClusterStats multiply(std::span<const double> X,
                             std::span<double> Y, unsigned k,
@@ -179,17 +182,27 @@ class HwCluster
      *  rows (outputs). */
     std::vector<BinaryCrossbar> slices;
 
+    /** Per-column front end of a panel multiply: output scale,
+     *  active vector slices (MSB first) and their de-bias terms
+     *  storedBias * popcount(slice). */
+    struct PanelColumn
+    {
+        int outScale = 0;
+        std::size_t nActive = 0;
+        std::vector<VectorSlice> vslices; //!< stale past nActive
+        std::vector<U256> biasTerms;
+    };
+
     // Reusable per-call scratch, hoisted so steady-state multiplies
     // stop allocating on the exact-read path (the aligners' internal
-    // vectors are the only per-call allocations left).
+    // vectors are the only per-call allocations left): per-(column,
+    // row) running sums, per-column front ends, the flattened column
+    // words and CIC flags, and per-row stats of the parallel scans.
     std::vector<SignedWord> accScratch;
-    std::vector<VectorSlice> vslicesScratch;
-    std::vector<U256> biasTermsScratch;
+    std::vector<PanelColumn> columns;
     std::vector<std::uint64_t> colWordsScratch;
     std::vector<std::uint8_t> colInvScratch;
     std::vector<HwClusterStats> partScratch;
-    // Batched-path scratch: per-column running sums.
-    std::vector<SignedWord> accBatch;
 };
 
 } // namespace msc

@@ -49,15 +49,16 @@ class FaultyAccelOperator : public RecoverableOperator
 
     std::int32_t rows() const override { return matRows; }
     std::int32_t cols() const override { return matCols; }
+    /** The k = 1 case of applyBatch(). */
     void apply(std::span<const double> x,
                std::span<double> y) override;
 
     /**
-     * Batched multi-RHS apply: column c replays the transient stream
-     * of apply sequence (entry applySeq + c) and the drift level of
-     * read count (entry reads + c), so outputs, fault counters, and
-     * block read counts are bitwise identical to k apply() calls in
-     * column order -- for any thread count.
+     * Panel apply: column c replays the transient stream of apply
+     * sequence (entry applySeq + c) and the drift level of read
+     * count (entry reads + c), so outputs, fault counters, and block
+     * read counts are bitwise identical to k single-vector applies
+     * in column order -- for any thread count.
      */
     void applyBatch(std::span<const double> X, std::span<double> Y,
                     unsigned k) override;
@@ -119,14 +120,12 @@ class FaultyAccelOperator : public RecoverableOperator
         std::uint64_t reads = 0; //!< MVMs since last program()
     };
 
-    /** Per-block partial output and fault counters for one apply();
-     *  written concurrently, merged in fixed block order. */
+    /** Per-block partial output (a block.size x k column-major
+     *  panel) and per-column fault tallies for one apply; written
+     *  concurrently, merged in fixed (column, block) order. */
     struct ApplyScratch
     {
         std::vector<double> yLocal;
-        FaultStats stats;
-        /** Batched apply: per-column fault tallies (yLocal then
-         *  holds a block.size x k column-major panel). */
         std::vector<FaultStats> colStats;
     };
 
@@ -139,7 +138,7 @@ class FaultyAccelOperator : public RecoverableOperator
     std::vector<ApplyScratch> scratch;
     FaultStats programStats;
     FaultStats applyStats;
-    /** apply() calls so far: transient-upset streams derive from
+    /** Columns applied so far: transient-upset streams derive from
      *  (campaign seed, apply sequence, block), so run-time faults are
      *  reproducible for any thread count. */
     std::uint64_t applySeq = 0;

@@ -140,17 +140,18 @@ PreparedOperator::build()
         byteEstimate += mat.nnz() * 12;
         break;
       }
-      case ServiceBackend::ClusterBitExact:
-        if (havePlan) {
-            oper = std::make_unique<ClusterArithmeticOperator>(
-                mat, std::move(artifactPlan), cfg.cluster);
-        } else {
-            oper = std::make_unique<ClusterArithmeticOperator>(
-                mat, cfg.blocking, cfg.cluster);
-        }
-        // Contribution tables dominate: rough per-nnz slice state.
-        byteEstimate += mat.nnz() * 64;
+      case ServiceBackend::ClusterBitExact: {
+        auto cop = havePlan
+            ? std::make_unique<ClusterArithmeticOperator>(
+                  mat, std::move(artifactPlan), cfg.cluster)
+            : std::make_unique<ClusterArithmeticOperator>(
+                  mat, cfg.blocking, cfg.cluster);
+        // Contribution tables dominate: rough per-nnz slice state,
+        // once per programmed cluster of a block.
+        byteEstimate += mat.nnz() * 64 * cop->clustersPerBlock();
+        oper = std::move(cop);
         break;
+      }
       case ServiceBackend::MultiAccel: {
         MultiAcceleratorConfig mc;
         mc.devices = cfg.devices;

@@ -47,7 +47,9 @@ class LinearOperator
      * Y column c = A (X column c). The default loops apply() in
      * column order, so every override is behaviorally pinned to
      * that: implementations may share setup across columns but must
-     * stay bitwise identical to the k sequential applies.
+     * stay bitwise identical to the k sequential applies. An
+     * operator whose apply() is applyBatch(x, y, 1) (the cluster
+     * and fault operators) must override this too.
      */
     virtual void
     applyBatch(std::span<const double> X, std::span<double> Y,

@@ -1,16 +1,18 @@
 /**
  * @file
- * Bit-exactness lock for the batched multi-RHS execution path.
+ * Bit-exactness lock for the multi-RHS panel execution path.
  *
- * The contract, at every layer: a batched call over a k-column panel
- * is bitwise identical to k invocations of the retained single-RHS
- * path in column order -- outputs, per-column side channels (peeled
- * indices), and statistics, including the floating-point energy
- * accumulations. The suites here drive Cluster::multiply(X),
- * HwCluster::multiply(X), Accelerator::spmm, the operator batch
- * applies (including an active FaultCampaign and a mid-batch
- * cancellation), and block-CG trajectory determinism across thread
- * counts.
+ * The contract, at every layer: a call over a k-column panel is
+ * bitwise identical to k single-vector calls in column order --
+ * outputs, per-column side channels (peeled indices), and
+ * statistics, including the floating-point energy accumulations.
+ * The suites here drive Cluster::multiply(X), HwCluster::multiply(X),
+ * Accelerator::spmm, the operator batch applies (including an active
+ * FaultCampaign and a mid-batch cancellation), and block-CG
+ * trajectory determinism across thread counts. For the clusters and
+ * operators a single vector is the k = 1 panel of the same kernel,
+ * so there these suites pin column independence; the straight-line
+ * references in test_kernel_bitexact.cc are the kernels' oracle.
  */
 
 #include <gtest/gtest.h>
@@ -378,6 +380,9 @@ TEST(BatchHwCluster, AnalogReadsReplayDrawOrder)
     HwCluster::Config cfg;
     cfg.size = 16;
     cfg.analogReads = true;
+    // Noise large enough to move conversions, so a changed draw
+    // order changes the outputs.
+    cfg.cell.progErrorSigma = 0.25;
 
     Rng dataRng(7801);
     const MatrixBlock b = randomBlock(dataRng, 16, 0.4, 8);
@@ -491,6 +496,60 @@ TEST(BatchOperator, ClusterOperatorBatchMatchesApplies)
     // The running aggregate -- floating-point energy/latency sums
     // included -- folds in the same (column, block) order.
     expectStatsEqual(ref.totals(), bat.totals());
+}
+
+TEST(BatchOperator, ClusterOperatorColumnSplitMatchesApplies)
+{
+    // One 64-wide block built at 4 and 2 lanes: the block gets a
+    // cluster per lane and a panel's columns split across them.
+    // Outputs and the running aggregate must not depend on the
+    // split, also as the panel narrows between calls (a lockstep
+    // solve retiring columns).
+    setLogQuiet(true);
+    TiledParams p;
+    p.rows = 64;
+    p.tile = 32;
+    p.tileDensity = 0.3;
+    p.symmetricPattern = true;
+    p.spd = true;
+    p.seed = 8351;
+    const Csr m = genTiled(p);
+    const auto n = static_cast<std::size_t>(m.rows());
+    Rng rng(8352);
+
+    setGlobalThreads(1);
+    ClusterArithmeticOperator ref(m);
+    ASSERT_EQ(ref.blockPlan().blocks.size(), 1u);
+    ASSERT_EQ(ref.clustersPerBlock(), 1u);
+    std::vector<std::vector<double>> yRef;
+    std::vector<std::vector<double>> panels;
+    for (unsigned k : {7u, 3u, 1u, 8u}) {
+        panels.push_back(panelOf(rng, n, k));
+        std::vector<double> y(n * k, 0.0);
+        for (unsigned c = 0; c < k; ++c) {
+            ref.apply(std::span<const double>(panels.back())
+                          .subspan(c * n, n),
+                      std::span<double>(y).subspan(c * n, n));
+        }
+        yRef.push_back(std::move(y));
+    }
+
+    for (unsigned lanes : {4u, 2u}) {
+        setGlobalThreads(lanes);
+        ClusterArithmeticOperator bat(m);
+        EXPECT_EQ(bat.clustersPerBlock(), lanes);
+        for (std::size_t i = 0; i < panels.size(); ++i) {
+            const auto k =
+                static_cast<unsigned>(panels[i].size() / n);
+            std::vector<double> y(n * k, 0.0);
+            bat.applyBatch(std::span<const double>(panels[i]),
+                           std::span<double>(y), k);
+            EXPECT_TRUE(sameBits(yRef[i], y))
+                << "lanes=" << lanes << " k=" << k;
+        }
+        expectStatsEqual(ref.totals(), bat.totals());
+    }
+    setGlobalThreads(0);
 }
 
 TEST(BatchOperator, FaultyOperatorBatchReplaysStreams)

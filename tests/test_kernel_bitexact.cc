@@ -13,6 +13,11 @@
  * precision target) and asserts bitwise-equal outputs and identical
  * statistics, including the floating-point energy accumulations,
  * which the optimized kernels must reproduce add-for-add.
+ *
+ * Each model has one kernel, the panel multiply; a single vector is
+ * its k = 1 case. The full sweeps therefore also run a 3-column
+ * panel per configuration against sequential reference calls, so
+ * k > 1 has an oracle other than the kernel itself.
  */
 
 #include <gtest/gtest.h>
@@ -614,6 +619,16 @@ expectStatsEqual(const ClusterStats &a, const ClusterStats &b)
 }
 
 void
+expectHwStatsEqual(const HwClusterStats &a, const HwClusterStats &b)
+{
+    EXPECT_EQ(a.sliceWords, b.sliceWords);
+    EXPECT_EQ(a.cleanWords, b.cleanWords);
+    EXPECT_EQ(a.correctedWords, b.correctedWords);
+    EXPECT_EQ(a.uncorrectableWords, b.uncorrectableWords);
+    EXPECT_EQ(a.cicInvertedColumns, b.cicInvertedColumns);
+}
+
+void
 expectBitwiseEqual(const std::vector<double> &a,
                    const std::vector<double> &b)
 {
@@ -652,10 +667,64 @@ scheduleOf(unsigned idx)
     }
 }
 
+/**
+ * A k-column panel whose columns' exponent spreads differ but stay
+ * inside the 64-exponent window (the references omit peeling), so
+ * the columns take different vector widths and join the panel
+ * kernel's level walk at different levels. @p base varies the
+ * spreads per configuration.
+ */
+std::vector<double>
+spreadPanel(Rng &rng, unsigned size, unsigned k, int base)
+{
+    std::vector<double> X;
+    for (unsigned c = 0; c < k; ++c) {
+        const auto xc = randomVector(
+            rng, size, static_cast<int>(20 * c) + base % 20);
+        X.insert(X.end(), xc.begin(), xc.end());
+    }
+    return X;
+}
+
+/**
+ * The 3-column panel through Cluster::multiply(X, Y, k) against
+ * three RefCluster calls, column by column: outputs bitwise, and
+ * each column's stats field by field. Returns whether the columns
+ * took three distinct vector widths.
+ */
+bool
+expectClusterPanelMatchesRef(Cluster &opt, RefCluster &ref,
+                             unsigned size, int base,
+                             std::uint64_t seed)
+{
+    const unsigned k = 3;
+    Rng rng(seed);
+    const std::vector<double> X = spreadPanel(rng, size, k, base);
+    std::vector<double> Y(X.size());
+    std::vector<ClusterStats> colStats;
+    opt.multiply(std::span<const double>(X), std::span<double>(Y), k,
+                 nullptr, &colStats);
+    EXPECT_EQ(colStats.size(), k);
+    for (unsigned c = 0; c < k; ++c) {
+        const std::vector<double> xc(X.begin() + c * size,
+                                     X.begin() + (c + 1) * size);
+        const std::vector<double> yc(Y.begin() + c * size,
+                                     Y.begin() + (c + 1) * size);
+        std::vector<double> yRef(size);
+        const ClusterStats sRef = ref.multiply(xc, yRef);
+        expectBitwiseEqual(yc, yRef);
+        expectStatsEqual(colStats[c], sRef);
+    }
+    return colStats[0].vectorSlices != colStats[1].vectorSlices &&
+           colStats[1].vectorSlices != colStats[2].vectorSlices &&
+           colStats[0].vectorSlices != colStats[2].vectorSlices;
+}
+
 TEST(KernelBitExact, ClusterFullConfigSweep)
 {
     Rng rng(0xC0FFEE);
     unsigned combo = 0;
+    unsigned distinctWidthPanels = 0;
     for (unsigned sched = 0; sched < 3; ++sched) {
         for (unsigned mode = 0; mode < 4; ++mode) {
             for (int an = 0; an < 2; ++an) {
@@ -697,10 +766,18 @@ TEST(KernelBitExact, ClusterFullConfigSweep)
                     const ClusterStats sb = ref.multiply(x, yb);
                     expectBitwiseEqual(ya, yb);
                     expectStatsEqual(sa, sb);
+
+                    // An independent oracle for k > 1: the panel's
+                    // columns against sequential reference calls.
+                    if (expectClusterPanelMatchesRef(
+                            opt, ref, 16, spread, 0xC0FFEE + combo))
+                        ++distinctWidthPanels;
                 }
             }
         }
     }
+    // The panels must mix vector widths, not run one width.
+    EXPECT_GT(distinctWidthPanels, 0u);
 }
 
 TEST(KernelBitExact, ClusterRepeatedMultiplies)
@@ -739,6 +816,11 @@ TEST(KernelBitExact, HwClusterFullConfigSweep)
                     cfg.anProtect = an != 0;
                     cfg.cic = cic != 0;
                     cfg.analogReads = analog != 0;
+                    // Half the analog configs add programming noise,
+                    // so their reads draw from the generators and
+                    // the panel check below pins the draw order.
+                    if (analog != 0 && mode % 2 == 0)
+                        cfg.cell.progErrorSigma = 0.25;
                     ++combo;
 
                     const int spread =
@@ -759,13 +841,32 @@ TEST(KernelBitExact, HwClusterFullConfigSweep)
                     const HwClusterStats sb =
                         ref.multiply(x, yb, &rb);
                     expectBitwiseEqual(ya, yb);
-                    EXPECT_EQ(sa.sliceWords, sb.sliceWords);
-                    EXPECT_EQ(sa.cleanWords, sb.cleanWords);
-                    EXPECT_EQ(sa.correctedWords, sb.correctedWords);
-                    EXPECT_EQ(sa.uncorrectableWords,
-                              sb.uncorrectableWords);
-                    EXPECT_EQ(sa.cicInvertedColumns,
-                              sb.cicInvertedColumns);
+                    expectHwStatsEqual(sa, sb);
+
+                    // An independent oracle for k > 1: a 3-column
+                    // panel, its noise drawn from one generator,
+                    // against three sequential reference calls on a
+                    // generator with the same seed.
+                    const unsigned k = 3;
+                    Rng panelRng(0xBEEF + combo);
+                    const std::vector<double> X =
+                        spreadPanel(panelRng, 8, k, spread);
+                    std::vector<double> Y(X.size());
+                    Rng pa(4242 + combo), pb(4242 + combo);
+                    const HwClusterStats spa = opt.multiply(
+                        std::span<const double>(X),
+                        std::span<double>(Y), k, &pa);
+                    HwClusterStats spb;
+                    for (unsigned c = 0; c < k; ++c) {
+                        const std::vector<double> xc(
+                            X.begin() + c * 8, X.begin() + (c + 1) * 8);
+                        const std::vector<double> yc(
+                            Y.begin() + c * 8, Y.begin() + (c + 1) * 8);
+                        std::vector<double> yRef(8);
+                        spb += ref.multiply(xc, yRef, &pb);
+                        expectBitwiseEqual(yc, yRef);
+                    }
+                    expectHwStatsEqual(spa, spb);
                 }
             }
         }
@@ -781,7 +882,9 @@ TEST(KernelBitExact, HwClusterNoisyReads)
     HwCluster::Config cfg;
     cfg.size = 8;
     cfg.analogReads = true;
-    cfg.cell.progErrorSigma = 0.02;
+    // Large enough to move conversions, so a wrong draw order or
+    // row-to-stream mapping changes the outputs.
+    cfg.cell.progErrorSigma = 0.25;
     const MatrixBlock b = randomBlock(rng, 8, 0.5, 20);
     const auto x = randomVector(rng, 8, 20);
 
