@@ -1,7 +1,9 @@
 #include "cluster/cluster.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <type_traits>
 
 #include "util/intlog.hh"
 #include "util/logging.hh"
@@ -88,8 +90,11 @@ Cluster::program(const MatrixBlock &block)
     rowPtr.assign(blockSize + 1, 0);
     for (const Triplet &t : block.elems)
         ++rowPtr[static_cast<std::size_t>(t.row) + 1];
-    for (unsigned i = 0; i < blockSize; ++i)
+    maxRowNnz = 0;
+    for (unsigned i = 0; i < blockSize; ++i) {
+        maxRowNnz = std::max(maxRowNnz, rowPtr[i + 1]);
         rowPtr[i + 1] += rowPtr[i];
+    }
     elemCol.assign(nnz, 0);
     elemStored.assign(nnz, U256{});
     rowSumF.assign(blockSize, {});
@@ -287,16 +292,152 @@ Cluster::rangeTable(unsigned bLo, unsigned bHi)
 }
 
 void
-Cluster::addSmall(SignedAcc &a, bool neg, std::uint64_t m,
-                  unsigned shift)
+Cluster::addPartial(SignedAcc &a, unsigned __int128 p, unsigned shift)
 {
-    U256 v;
+    const bool neg = (p >> 127) != 0;
+    const unsigned __int128 m = neg ? -p : p;
+    const auto lo = static_cast<std::uint64_t>(m);
+    const auto hi = static_cast<std::uint64_t>(m >> 64);
     const unsigned wi = shift / 64;
     const unsigned bi = shift % 64;
-    v.setWord(wi, m << bi);
-    if (bi && wi + 1 < U256::numWords)
-        v.setWord(wi + 1, m >> (64 - bi));
+    U256 v;
+    v.setWord(wi, lo << bi);
+    if (wi + 1 < U256::numWords)
+        v.setWord(wi + 1, bi ? (hi << bi) | (lo >> (64 - bi)) : hi);
+    if (bi && wi + 2 < U256::numWords)
+        v.setWord(wi + 2, hi >> (64 - bi));
     a.add(neg, v);
+}
+
+Cluster::LevelGrid
+Cluster::levelGrid(unsigned vectorSlices) const
+{
+    LevelGrid g;
+    g.nB = encodedBits;
+    g.nK = vectorSlices;
+    g.run = encodedBits;
+    if (cfg.schedule == SchedulePolicy::Diagonal) {
+        g.run = 1;
+    } else if (cfg.schedule == SchedulePolicy::Hybrid) {
+        if (cfg.hybridSkew < 2)
+            fatal("Cluster::multiply: hybrid skew must be >= 2");
+        g.run = cfg.hybridSkew;
+    }
+    g.maxStagger = (g.nB - 1) / g.run;
+    return g;
+}
+
+template <unsigned K>
+void
+Cluster::landSmallLevel(unsigned c0, unsigned base, bool perSegment)
+{
+    using U128Raw = unsigned __int128;
+    const std::size_t kp = colStride;
+    const LevelSeg *const segs = levelSegBuf.data();
+    const std::size_t nSegs = levelSegBuf.size();
+    const std::uint32_t *const rp = rowPtr.data();
+    const std::int32_t *const cols = elemCol.data();
+    for (unsigned i = 0; i < blockSize; ++i) {
+        const std::uint64_t *const live = &liveBatch[i * kp + c0];
+        bool anyLive = false;
+        for (unsigned c = 0; c < K; ++c)
+            anyLive |= live[c] != 0;
+        if (!anyLive)
+            continue;
+        SignedAcc *const acc = &accBatch[i * kp + c0];
+        U128Raw p[K] = {};
+        for (std::size_t j = 0; j < nSegs; ++j) {
+            const LevelSeg &seg = segs[j];
+            const std::int16_t *const gates = seg.gates + c0;
+            std::int32_t s[K] = {};
+            for (std::uint32_t e = rp[i]; e < rp[i + 1]; ++e) {
+                const std::int16_t dv = seg.delta[e];
+                const std::int16_t *const gr =
+                    gates + static_cast<std::size_t>(cols[e]) * kp;
+                for (unsigned c = 0; c < K; ++c)
+                    s[c] += static_cast<std::int16_t>(dv & gr[c]);
+            }
+            // Sign-extend on the unsigned type: the shift never sees
+            // a negative value, and the sum wraps as two's complement.
+            for (unsigned c = 0; c < K; ++c)
+                p[c] += static_cast<U128Raw>(
+                            static_cast<std::int64_t>(s[c]))
+                        << seg.rel;
+            if (perSegment) {
+                for (unsigned c = 0; c < K; ++c) {
+                    if (live[c] && p[c] != 0)
+                        addPartial(acc[c], p[c], seg.shift);
+                    p[c] = 0;
+                }
+            }
+        }
+        if (!perSegment) {
+            for (unsigned c = 0; c < K; ++c) {
+                if (live[c] && p[c] != 0)
+                    addPartial(acc[c], p[c], base);
+            }
+        }
+    }
+}
+
+template <unsigned K>
+void
+Cluster::levelAdcEnergy(unsigned c0, unsigned k,
+                        std::span<const ScheduleGroup::Segment> segs)
+{
+    const std::size_t n = blockSize;
+    const std::size_t kp = colStride;
+    const unsigned cn = std::min(K, k - c0); // the rest pad the chunk
+    double e[K] = {};
+    for (unsigned c = 0; c < cn; ++c)
+        e[c] = columns[c0 + c].stats.adcEnergy;
+    const std::uint64_t *const live = liveBatch.data() + c0;
+    for (const auto &seg : segs) {
+        // A column converts a segment of its own group: it takes
+        // part in the level and the segment's slice is below its
+        // width. Where it does not, or a row has terminated, the
+        // masks zero the energy's bits and it adds +0.0, exact on its
+        // sum of non-negative terms.
+        std::uint64_t own[K] = {};
+        for (unsigned c = 0; c < cn; ++c) {
+            const PanelColumn &col = columns[c0 + c];
+            own[c] = col.takesPart && seg.k < col.ux.width() ? ~0ull : 0;
+        }
+        for (unsigned b = seg.bLo; b <= seg.bHi; ++b) {
+            const double *ce = &adcConvE[b * n];
+            for (unsigned i = 0; i < blockSize; ++i) {
+                const std::uint64_t *lr = live + i * kp;
+                const auto bits = std::bit_cast<std::uint64_t>(ce[i]);
+#pragma GCC unroll 8
+                for (unsigned c = 0; c < K; ++c)
+                    e[c] += std::bit_cast<double>(bits & lr[c] & own[c]);
+            }
+        }
+    }
+    for (unsigned c = 0; c < cn; ++c)
+        columns[c0 + c].stats.adcEnergy = e[c];
+}
+
+template <typename Kernel>
+void
+Cluster::forChunks(Kernel &&kernel)
+{
+    for (unsigned c0 = 0; c0 < colStride; c0 += chunkWidth) {
+        switch (chunkWidth) {
+          case 1:
+            kernel(std::integral_constant<unsigned, 1>{}, c0);
+            break;
+          case 2:
+            kernel(std::integral_constant<unsigned, 2>{}, c0);
+            break;
+          case 4:
+            kernel(std::integral_constant<unsigned, 4>{}, c0);
+            break;
+          default:
+            kernel(std::integral_constant<unsigned, 8>{}, c0);
+            break;
+        }
+    }
 }
 
 void
@@ -384,10 +525,16 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
     // --- per-column front end: peel, align, encode, init ----------
     // Alignment is input-dependent, so it stays per column; the
     // programmed-side state (contribution tables, ADC energy table)
-    // is shared below.
+    // is shared below. The level kernels run the columns in chunks
+    // of a fixed width, k rounded up to a power of two or, past 8, to
+    // a multiple of 8; per-(row, column) state and gate rows take the
+    // padded stride, and pad columns have no live rows or gates.
+    chunkWidth = k == 1 ? 1 : k == 2 ? 2 : k <= 4 ? 4 : 8;
+    colStride = (k + chunkWidth - 1) / chunkWidth * chunkWidth;
+    const std::size_t kp = colStride;
     maskedBatch.resize(panel);
-    accBatch.assign(panel, SignedAcc{});
-    doneBatch.assign(panel, 0);
+    accBatch.assign(n * kp, SignedAcc{});
+    liveBatch.assign(n * kp, 0);
     columns.resize(k);
     for (unsigned c = 0; c < k; ++c) {
         PanelColumn &col = columns[c];
@@ -409,29 +556,28 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
         col.stats.matrixSlices = encodedBits;
         col.stats.vectorSlices = col.ux.width();
 
-        SignedAcc *const acc = accBatch.data() + c * n;
-        std::uint8_t *const done = doneBatch.data() + c * n;
         double *const yc = Y.data() + c * n;
         col.alive = 0;
         for (unsigned i = 0; i < blockSize; ++i) {
+            SignedAcc &acc = accBatch[i * kp + c];
             if (rowPtr[i + 1] == rowPtr[i]) {
                 // Bias cells cancel exactly; the hardware settles
                 // these immediately.
-                done[i] = 1;
                 yc[i] = 0.0;
                 ++col.stats.emptyColumns;
                 continue;
             }
+            liveBatch[i * kp + c] = ~0ull;
             ++col.alive;
             // Fold the vector-bias debias constant -bX * rowSumF
             // into the initial running sum (known at apply time).
             U256 init = rowSumF[i].mag << (col.ux.biasBits);
             if (cfg.anProtect)
                 init.mulSmall(cfg.anConstant);
-            acc[i].neg = !rowSumF[i].neg;
-            acc[i].mag = init;
+            acc.neg = !rowSumF[i].neg;
+            acc.mag = init;
             if (init.isZero())
-                acc[i].neg = false;
+                acc.neg = false;
         }
     }
 
@@ -447,18 +593,16 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
     // L = k - stagger(b): group g of a width-W schedule is level
     // W - 1 - g, holding that level's cells with k < W -- the leading
     // whole segments of the widest schedule's group at that level --
-    // and every width ends on the same level. So one schedule, for
-    // the panel's widest column, serves all k: a column of width W
+    // and every width ends on the same level. So one grid, for the
+    // panel's widest column, serves all k: a column of width W
     // joins the level walk at group maxBits - W and, at each level,
     // owns the segments with k < W. One walk over the levels shares
     // the inner loop across all k columns whatever their widths.
     unsigned maxBits = 0;
     for (unsigned c = 0; c < k; ++c)
         maxBits = std::max(maxBits, columns[c].ux.width());
-    const ActivationSchedule schedule(encodedBits, maxBits,
-                                      cfg.schedule, cfg.hybridSkew);
-    const auto &levels = schedule.groups();
-    const std::size_t nLevels = levels.size();
+    const LevelGrid grid = levelGrid(maxBits);
+    const std::size_t nLevels = grid.levels();
 
     // Per distinct width: each level's crossbar activations and the
     // largest significance left after it (the termination bound's
@@ -483,7 +627,8 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
         for (std::size_t t = nLevels; t-- > 0;) {
             unsigned acts = 0;
             int sig = -1;
-            for (const auto &seg : levels[t].segments) {
+            for (unsigned q = grid.qLo(t); q <= grid.qHi(t); ++q) {
+                const ScheduleGroup::Segment seg = grid.segment(t, q);
                 if (seg.k >= widths[u])
                     continue;
                 acts += seg.width();
@@ -496,26 +641,29 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
     }
 
     // Ensure every range's contribution table exists before the
-    // level loop takes references (rangeTable() may reallocate).
-    for (const ScheduleGroup &group : levels) {
-        for (const auto &seg : group.segments)
-            rangeTable(seg.bLo, seg.bHi);
+    // level loop takes references (rangeTable() may reallocate): one
+    // range per stagger run, whatever the level.
+    for (unsigned q = 0; q <= grid.maxStagger; ++q) {
+        const ScheduleGroup::Segment seg = grid.segment(q, q);
+        rangeTable(seg.bLo, seg.bHi);
     }
 
     // Gate transpose: per (vector slice k, element column j) a
-    // k-wide 0/1 row, so the inner loop reads the gates of all
-    // columns in one contiguous stride instead of probing k bitmaps
-    // per element. Slices past a column's width stay 0.
-    gateTBatch.assign(static_cast<std::size_t>(maxBits) * panel, 0);
+    // padded-k-wide row of 0 / -1 masks, so the inner loop reads the
+    // gates of all columns in one contiguous stride instead of
+    // probing k bitmaps per element, and gates a delta with an AND.
+    // Slices past a column's width stay 0.
+    const std::size_t gateSlice = n * kp;
+    gateTBatch.assign(maxBits * gateSlice, 0);
     for (unsigned c = 0; c < k; ++c) {
         const auto &sliceByK = columns[c].sliceByK;
         for (unsigned kc = 0; kc < sliceByK.size(); ++kc) {
             const BitVec *gate = sliceByK[kc];
             if (!gate)
                 continue;
-            std::int8_t *gT = &gateTBatch[kc * panel];
+            std::int16_t *gT = &gateTBatch[kc * gateSlice];
             gate->forEachSetBit([&](std::size_t j) {
-                gT[j * k + c] = 1;
+                gT[j * kp + c] = -1;
             });
         }
     }
@@ -528,12 +676,16 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
     for (unsigned c = 0; c < k; ++c)
         aliveTotal += columns[c].alive;
 
-    sumBatch.assign(k, 0);
-    actBatch.assign(k, 0);
+    // Headroom of a level partial: a row's gated delta sum over a
+    // segment of width w is below maxRowNnz * 2^w in magnitude.
+    const unsigned rowSumBits = bitsForCount(maxRowNnz);
 
     // --- level-granular execution (all columns) ---------------------
     for (std::size_t t = 0; t < nLevels && aliveTotal > 0; ++t) {
-        const auto &segs = levels[t].segments;
+        levelSegs.clear();
+        for (unsigned q = grid.qLo(t); q <= grid.qHi(t); ++q)
+            levelSegs.push_back(grid.segment(t, q));
+        const std::span<const ScheduleGroup::Segment> segs(levelSegs);
 
         // Per-column bookkeeping on the column's own group, this
         // level's segments with slice below the column's width: a
@@ -546,7 +698,8 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
         // row) table program() resolved.
         for (unsigned c = 0; c < k; ++c) {
             PanelColumn &col = columns[c];
-            if (col.alive == 0 || t < col.joinLevel)
+            col.takesPart = col.alive != 0 && t >= col.joinLevel;
+            if (!col.takesPart)
                 continue;
             const unsigned acts =
                 levelActs[col.widthIdx * nLevels + t];
@@ -559,32 +712,26 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
                 static_cast<std::uint64_t>(acts) *
                 (blockSize - col.alive);
             cs.arrayEnergy += acts * arrayOpE;
-            const unsigned w = col.ux.width();
-            const std::uint8_t *done = doneBatch.data() + c * n;
-            for (const auto &seg : segs) {
-                if (seg.k >= w)
-                    continue;
-                for (unsigned b = seg.bLo; b <= seg.bHi; ++b) {
-                    const double *ce = &adcConvE[b * n];
-                    for (unsigned i = 0; i < blockSize; ++i) {
-                        if (done[i])
-                            continue;
-                        cs.adcEnergy += ce[i];
-                    }
-                }
-            }
         }
+        forChunks([&](auto width, unsigned c0) {
+            levelAdcEnergy<width()>(c0, k, segs);
+        });
 
-        // Functional contribution, k-wide. Within a group the
-        // sign-magnitude adds are exact integer arithmetic, so the
-        // accumulator value after the group is invariant under
-        // regrouping: a row's gated int16 deltas collapse into one
-        // int32 sum per column (bounded by nnz * 2^15 < 2^31) and
-        // land in a single two-word add -- bitwise the state
-        // element-order adds reach, and the termination checks that
-        // observe it only run between groups. A segment outside a
-        // column's group has slice >= its width, so its gates are 0
-        // and the column's sum stays 0: no add.
+        // Functional contribution, k-wide. Between two termination
+        // checks every add into the accumulators is exact integer
+        // arithmetic, and only the checks and the final conversion
+        // read them, so any grouping of a level's adds reaches the
+        // same state bit for bit. The small-range segments gather
+        // into one signed 128-bit partial per (column, row) at the
+        // level's lowest shift -- a row's gated int16 deltas sum per
+        // segment into an int32 (below maxRowNnz * 2^15), each sum
+        // enters the partial at its offset above that shift -- and
+        // the partial lands in one wide add. Where the partial could
+        // overflow, each segment's sums land on their own. A segment
+        // whose slice no column gates adds nothing and is skipped.
+        levelSegBuf.clear();
+        unsigned base = ~0u;
+        unsigned top = 0; // highest bit a segment's deltas reach
         for (const auto &seg : segs) {
             bool anyGate = false;
             for (unsigned c = 0; c < k && !anyGate; ++c)
@@ -594,72 +741,56 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
             const RangeTable &tab = rangeTable(seg.bLo, seg.bHi);
             const unsigned shift = seg.bLo + seg.k;
             if (tab.small) {
-                const std::int8_t *gT = &gateTBatch[seg.k * panel];
-                const std::int16_t *d = tab.delta.data();
-                std::int32_t *const s = sumBatch.data();
-                std::uint8_t *const act = actBatch.data();
+                levelSegBuf.push_back({tab.delta.data(),
+                                       &gateTBatch[seg.k * gateSlice],
+                                       shift, 0});
+                base = std::min(base, shift);
+                top = std::max(top, shift + seg.width());
+                continue;
+            }
+            // Wide range (vertical schedules): element-wise adds per
+            // column. A zero delta is an exact no-op on the
+            // sign-magnitude accumulator and is skipped.
+            for (unsigned c = 0; c < k; ++c) {
+                const BitVec *gate = gateOf(c, seg.k);
+                if (!gate)
+                    continue;
                 for (unsigned i = 0; i < blockSize; ++i) {
-                    bool anyAlive = false;
-                    for (unsigned c = 0; c < k; ++c) {
-                        const bool a = !doneBatch[c * n + i];
-                        act[c] = a ? 1 : 0;
-                        anyAlive |= a;
-                    }
-                    if (!anyAlive)
+                    if (!liveBatch[i * kp + c])
                         continue;
-                    for (unsigned c = 0; c < k; ++c)
-                        s[c] = 0;
+                    SignedAcc &acc = accBatch[i * kp + c];
                     for (std::uint32_t e = rowPtr[i];
                          e < rowPtr[i + 1]; ++e) {
-                        const std::int32_t dv = d[e];
-                        if (dv == 0)
+                        if (!gate->get(static_cast<std::size_t>(
+                                elemCol[e])))
                             continue;
-                        const std::int8_t *gr = &gT[
-                            static_cast<std::size_t>(elemCol[e]) * k];
-                        for (unsigned c = 0; c < k; ++c)
-                            s[c] += dv * gr[c];
-                    }
-                    for (unsigned c = 0; c < k; ++c) {
-                        if (!act[c])
+                        if (tab.magW[e].isZero())
                             continue;
-                        const std::int32_t m = s[c];
-                        if (m == 0)
-                            continue;
-                        addSmall(accBatch[c * n + i], m < 0,
-                                 static_cast<std::uint64_t>(
-                                     m < 0
-                                         ? -static_cast<std::int64_t>(m)
-                                         : m),
-                                 shift);
-                    }
-                }
-            } else {
-                // Wide range (vertical schedules): element-wise adds
-                // per column. A zero delta is an exact no-op on the
-                // sign-magnitude accumulator and is skipped.
-                for (unsigned c = 0; c < k; ++c) {
-                    const BitVec *gate = gateOf(c, seg.k);
-                    if (!gate)
-                        continue;
-                    SignedAcc *const acc = accBatch.data() + c * n;
-                    const std::uint8_t *done = doneBatch.data() + c * n;
-                    for (unsigned i = 0; i < blockSize; ++i) {
-                        if (done[i])
-                            continue;
-                        for (std::uint32_t e = rowPtr[i];
-                             e < rowPtr[i + 1]; ++e) {
-                            if (!gate->get(static_cast<std::size_t>(
-                                    elemCol[e])))
-                                continue;
-                            if (tab.magW[e].isZero())
-                                continue;
-                            U256 v = U256::from(tab.magW[e]);
-                            v <<= shift;
-                            acc[i].add(tab.negW[e] != 0, v);
-                        }
+                        U256 v = U256::from(tab.magW[e]);
+                        v <<= shift;
+                        acc.add(tab.negW[e] != 0, v);
                     }
                 }
             }
+        }
+        if (!levelSegBuf.empty()) {
+            // A segment's sum enters the partial below
+            // maxRowNnz * 2^(top - base), so |partial| <
+            // maxRowNnz * nSegs * 2^(top - base): it fits a signed
+            // 128-bit word when the three take at most 127 bits.
+            const bool perSegment =
+                rowSumBits + bitsForCount(levelSegBuf.size()) +
+                    (top - base) > 127;
+            if (perSegment) {
+                ++landingCounts.segmentLevels;
+            } else {
+                for (LevelSeg &ls : levelSegBuf)
+                    ls.rel = ls.shift - base;
+                ++landingCounts.partialLevels;
+            }
+            forChunks([&](auto width, unsigned c0) {
+                landSmallLevel<width()>(c0, base, perSegment);
+            });
         }
 
         // Early termination check (between groups), per column.
@@ -667,7 +798,7 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
             continue;
         for (unsigned c = 0; c < k; ++c) {
             PanelColumn &col = columns[c];
-            if (col.alive == 0 || t < col.joinLevel)
+            if (!col.takesPart)
                 continue;
             const int remSig =
                 levelRemSig[col.widthIdx * nLevels + t];
@@ -680,13 +811,13 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
             // one.
             const int bound = remSig + static_cast<int>(nBits) +
                               col.sigCellBits + 2;
-            SignedAcc *const acc = accBatch.data() + c * n;
-            std::uint8_t *const done = doneBatch.data() + c * n;
             double *const yc = Y.data() + c * n;
             for (unsigned i = 0; i < blockSize; ++i) {
-                if (done[i])
+                std::uint64_t &live = liveBatch[i * kp + c];
+                if (!live)
                     continue;
-                U256 decoded = acc[i].mag;
+                const SignedAcc &acc = accBatch[i * kp + c];
+                U256 decoded = acc.mag;
                 int boundDec = bound;
                 if (cfg.anProtect) {
                     decoded.divSmall(cfg.anConstant);
@@ -694,11 +825,11 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
                 }
                 if (settled(decoded, boundDec,
                             cfg.targetMantissaBits + 3)) {
-                    done[i] = 1;
+                    live = 0;
                     --col.alive;
                     --aliveTotal;
                     ++col.stats.columnsEarlyTerminated;
-                    yc[i] = convert(acc[i], col.outScale, false);
+                    yc[i] = convert(acc, col.outScale, false);
                 }
             }
         }
@@ -708,12 +839,10 @@ Cluster::multiply(std::span<const double> X, std::span<double> Y,
     // timing.
     for (unsigned c = 0; c < k; ++c) {
         PanelColumn &col = columns[c];
-        const SignedAcc *acc = accBatch.data() + c * n;
-        const std::uint8_t *done = doneBatch.data() + c * n;
         double *const yc = Y.data() + c * n;
         for (unsigned i = 0; i < blockSize; ++i) {
-            if (!done[i])
-                yc[i] = convert(acc[i], col.outScale, true);
+            if (liveBatch[i * kp + c])
+                yc[i] = convert(accBatch[i * kp + c], col.outScale, true);
         }
         ClusterStats &cs = col.stats;
         cs.cycles = cs.groupsExecuted * cfg.size + 12;

@@ -32,6 +32,7 @@
 #ifndef MSC_CLUSTER_CLUSTER_HH
 #define MSC_CLUSTER_CLUSTER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -180,6 +181,18 @@ class Cluster
         std::vector<std::vector<std::int32_t>> *peeled = nullptr,
         std::vector<ClusterStats> *colStats = nullptr);
 
+    /** How the small-range levels of this cluster's multiplies
+     *  landed in the accumulators, counted per (call, level): as one
+     *  128-bit partial per (row, column), or per segment where the
+     *  level's partial could overflow 128 bits. */
+    struct LandingCounts
+    {
+        std::uint64_t partialLevels = 0;
+        std::uint64_t segmentLevels = 0;
+    };
+
+    const LandingCounts &landings() const { return landingCounts; }
+
   private:
     /** Signed accumulator in sign-magnitude form. */
     struct SignedAcc
@@ -246,19 +259,96 @@ class Cluster
         std::size_t joinLevel = 0; //!< level of its first group
         int sigCellBits = 0;
         std::size_t alive = 0;
+        bool takesPart = false; //!< joined, rows alive: this level
         ClusterStats stats;
+    };
+
+    /** One small-range segment of the current level as the row
+     *  kernel reads it: its delta table, the gate transpose of its
+     *  vector slice, its weight 2^shift, and its offset above the
+     *  shift its row sums land at (0 when landed per segment). */
+    struct LevelSeg
+    {
+        const std::int16_t *delta = nullptr;
+        const std::int16_t *gates = nullptr;
+        unsigned shift = 0;
+        unsigned rel = 0;
     };
 
     /** Lazily built table for the range (bLo, bHi) of the current
      *  program; stable reference until the next program(). */
     const RangeTable &rangeTable(unsigned bLo, unsigned bHi);
 
-    /** Add m * 2^shift to @p a without materializing a full-width
-     *  shifted temporary: at most two words are nonzero (m < 2^63
-     *  covers a row's per-segment delta sum, bounded by
-     *  nnz * 2^15). */
-    static void addSmall(SignedAcc &a, bool neg, std::uint64_t m,
-                         unsigned shift);
+    /**
+     * The levels of the configured schedule over a B x K slice grid,
+     * in closed form: the skewed family of schedule.hh, with run =
+     * skew (B for vertical, 1 for diagonal). Matrix slice b has
+     * stagger q = (B - 1 - b) / run, so stagger q covers the run of
+     * slices [B - run (q + 1), B - 1 - run q], clipped at 0, and at
+     * level t it processes vector slice K - 1 - t + q, valid for q in
+     * [qLo(t), qHi(t)]. Adjacent runs differ in k, so each run is one
+     * segment; by increasing q they come top run first, as
+     * ActivationSchedule orders a group's segments, and no level is
+     * empty. Level t is ActivationSchedule group t.
+     */
+    struct LevelGrid
+    {
+        unsigned nB = 0;
+        unsigned nK = 0;
+        unsigned run = 1;
+        unsigned maxStagger = 0;
+
+        std::size_t levels() const { return nK + maxStagger; }
+        unsigned
+        qLo(std::size_t t) const
+        {
+            return t >= nK ? static_cast<unsigned>(t + 1 - nK) : 0;
+        }
+        unsigned
+        qHi(std::size_t t) const
+        {
+            return static_cast<unsigned>(
+                std::min<std::size_t>(t, maxStagger));
+        }
+        ScheduleGroup::Segment
+        segment(std::size_t t, unsigned q) const
+        {
+            const unsigned bHi = nB - 1 - run * q;
+            return {static_cast<unsigned>(nK - 1 - t + q),
+                    bHi + 1 > run ? bHi + 1 - run : 0, bHi};
+        }
+    };
+
+    /** The grid of the configured schedule over encodedBits x
+     *  @p vectorSlices slices. */
+    LevelGrid levelGrid(unsigned vectorSlices) const;
+
+    /** Add the signed 128-bit partial @p p (two's complement) times
+     *  2^shift to @p a; at most three words of the addend are
+     *  nonzero. */
+    static void addPartial(SignedAcc &a, unsigned __int128 p,
+                           unsigned shift);
+
+    /** The small-range segments of one level (levelSegBuf) for the
+     *  alive rows of the K-column chunk at column @p c0: row sums of
+     *  gated deltas, gathered into one partial per (column, row)
+     *  landed at 2^base, or, with @p perSegment, landed per
+     *  segment. */
+    template <unsigned K>
+    void landSmallLevel(unsigned c0, unsigned base, bool perSegment);
+
+    /** ADC conversion energy of one level's segments @p segs, summed
+     *  into the stats of the K-column chunk at column @p c0 of a
+     *  k-column panel: per column the same adds in the same order as
+     *  a lone call, interleaved across the chunk's columns. */
+    template <unsigned K>
+    void levelAdcEnergy(unsigned c0, unsigned k,
+                        std::span<const ScheduleGroup::Segment> segs);
+
+    /** Call kernel(width, c0) for each column chunk of the current
+     *  panel, width a std::integral_constant of chunkWidth. */
+    template <typename Kernel>
+    void forChunks(Kernel &&kernel);
 
     /** Exponent-window peeling of an input vector: copy x into
      *  masked with out-of-window elements zeroed, recording their
@@ -288,6 +378,7 @@ class Cluster
      *  entries are [rowPtr[i], rowPtr[i+1]). The multiply hot loop
      *  walks elemCol/contribution tables linearly. */
     std::vector<std::uint32_t> rowPtr;
+    std::uint32_t maxRowNnz = 0; //!< bounds a row sum: maxRowNnz * 2^15
     std::vector<std::int32_t> elemCol;
     std::vector<U256> elemStored; //!< biased (and AN-coded) operands
     /** Signed row sums of aligned coefficients (for vector debias). */
@@ -305,23 +396,29 @@ class Cluster
     std::vector<std::int16_t> tableIdx;
 
     // Reusable per-call scratch, hoisted out of multiply() so
-    // steady-state calls stop allocating (the aligners' and the
-    // schedule's internal vectors are the only per-call allocations
-    // left): per-column state, the per-width level tables, the
-    // peeled inputs, per-(column, row) accumulators and termination
-    // flags, the per-(slice k, element, column) gate transpose, and
-    // the k-wide delta sums of the inner loop.
+    // steady-state calls stop allocating (the aligners' vectors are
+    // the only per-call allocations left): per-column state, the
+    // current level's segments, the per-width level tables, the
+    // peeled inputs, per-(row, column) accumulators and live flags
+    // (cleared as rows terminate), the per-(slice k, element column,
+    // column) gate masks, and the current level's row-kernel
+    // segments. Per-(row, column) state and gate rows use the padded
+    // column stride of the level kernels' chunks: row i, column c at
+    // i * colStride + c.
     std::vector<std::pair<int, std::int32_t>> expsScratch;
     std::vector<PanelColumn> columns;
+    std::vector<ScheduleGroup::Segment> levelSegs; //!< current level
     std::vector<unsigned> widths;    //!< the panel's distinct widths
     std::vector<unsigned> levelActs; //!< per (width, level)
     std::vector<int> levelRemSig;    //!< per (width, level)
     std::vector<double> maskedBatch;
+    unsigned chunkWidth = 1; //!< columns per level-kernel chunk
+    unsigned colStride = 1;  //!< k rounded up to whole chunks
     std::vector<SignedAcc> accBatch;
-    std::vector<std::uint8_t> doneBatch;
-    std::vector<std::int8_t> gateTBatch;
-    std::vector<std::int32_t> sumBatch;
-    std::vector<std::uint8_t> actBatch;
+    std::vector<std::uint64_t> liveBatch; //!< ~0: row still converts
+    std::vector<std::int16_t> gateTBatch;
+    std::vector<LevelSeg> levelSegBuf;
+    LandingCounts landingCounts;
     /** The single-vector overload's one-column peel list. */
     std::vector<std::vector<std::int32_t>> peeledOne;
 };

@@ -654,18 +654,22 @@ roundingOf(unsigned idx)
     }
 }
 
-SchedulePolicy
-scheduleOf(unsigned idx)
+/** The swept schedules: the three policies at the default skew,
+ *  then larger hybrid skews. At skew 15 the fullest levels of a
+ *  127-slice operand span 9 segments and 119 bits, so with 16 or
+ *  more elements in a row the headroom rule lands them per segment;
+ *  every other level gathers one 128-bit partial. */
+struct SweptSchedule
 {
-    switch (idx) {
-      case 0:
-        return SchedulePolicy::Vertical;
-      case 1:
-        return SchedulePolicy::Diagonal;
-      default:
-        return SchedulePolicy::Hybrid;
-    }
-}
+    SchedulePolicy policy;
+    unsigned skew;
+};
+
+constexpr SweptSchedule sweptSchedules[] = {
+    {SchedulePolicy::Vertical, 2}, {SchedulePolicy::Diagonal, 2},
+    {SchedulePolicy::Hybrid, 2},   {SchedulePolicy::Hybrid, 3},
+    {SchedulePolicy::Hybrid, 8},   {SchedulePolicy::Hybrid, 15},
+};
 
 /**
  * A k-column panel whose columns' exponent spreads differ but stay
@@ -725,13 +729,22 @@ TEST(KernelBitExact, ClusterFullConfigSweep)
     Rng rng(0xC0FFEE);
     unsigned combo = 0;
     unsigned distinctWidthPanels = 0;
-    for (unsigned sched = 0; sched < 3; ++sched) {
+    Cluster::LandingCounts landed;
+    for (const SweptSchedule &sched : sweptSchedules) {
         for (unsigned mode = 0; mode < 4; ++mode) {
             for (int an = 0; an < 2; ++an) {
                 for (int et = 0; et < 2; ++et) {
+                    // With AN coding, the larger skews also run a
+                    // 64-wide block (about 19 to 32 elements per row)
+                    // whose coefficient exponents fill the 64-bit
+                    // window, so operands reach 127 slices.
+                    const bool wide =
+                        sched.skew > 2 && an != 0 && mode % 2 == 1;
+                    const unsigned size = wide ? 64 : 16;
                     ClusterConfig cfg;
-                    cfg.size = 16;
-                    cfg.schedule = scheduleOf(sched);
+                    cfg.size = size;
+                    cfg.schedule = sched.policy;
+                    cfg.hybridSkew = sched.skew;
                     cfg.rounding = roundingOf(mode);
                     cfg.anProtect = an != 0;
                     cfg.earlyTermination = et != 0;
@@ -743,10 +756,13 @@ TEST(KernelBitExact, ClusterFullConfigSweep)
                     ++combo;
 
                     const int spread =
-                        static_cast<int>(rng.below(50));
+                        wide ? 64 : static_cast<int>(rng.below(50));
                     const MatrixBlock b = randomBlock(
-                        rng, 16, rng.uniform(0.1, 0.7), spread);
-                    const auto x = randomVector(rng, 16, spread);
+                        rng, size,
+                        wide ? rng.uniform(0.3, 0.5)
+                             : rng.uniform(0.1, 0.7),
+                        spread);
+                    const auto x = randomVector(rng, size, spread);
 
                     Cluster opt(cfg);
                     RefCluster ref(cfg);
@@ -761,7 +777,7 @@ TEST(KernelBitExact, ClusterFullConfigSweep)
                     EXPECT_EQ(pa.cicCornerCases, pb.cicCornerCases);
                     EXPECT_EQ(pa.programEnergy, pb.programEnergy);
 
-                    std::vector<double> ya(16), yb(16);
+                    std::vector<double> ya(size), yb(size);
                     const ClusterStats sa = opt.multiply(x, ya);
                     const ClusterStats sb = ref.multiply(x, yb);
                     expectBitwiseEqual(ya, yb);
@@ -770,20 +786,27 @@ TEST(KernelBitExact, ClusterFullConfigSweep)
                     // An independent oracle for k > 1: the panel's
                     // columns against sequential reference calls.
                     if (expectClusterPanelMatchesRef(
-                            opt, ref, 16, spread, 0xC0FFEE + combo))
+                            opt, ref, size, spread, 0xC0FFEE + combo))
                         ++distinctWidthPanels;
+                    landed.partialLevels += opt.landings().partialLevels;
+                    landed.segmentLevels += opt.landings().segmentLevels;
                 }
             }
         }
     }
     // The panels must mix vector widths, not run one width.
     EXPECT_GT(distinctWidthPanels, 0u);
+    // Both sides of the landing rule ran: levels gathered into one
+    // 128-bit partial, and levels whose partial could overflow.
+    EXPECT_GT(landed.partialLevels, 0u);
+    EXPECT_GT(landed.segmentLevels, 0u);
 }
 
 TEST(KernelBitExact, ClusterRepeatedMultiplies)
 {
     // One programming, many vectors: the per-multiply caches must not
-    // leak state between calls.
+    // leak state between calls. The vector widths alternate, so no
+    // per-width state can carry from one call to the next.
     Rng rng(0xFACE);
     ClusterConfig cfg;
     cfg.size = 16;
@@ -793,7 +816,7 @@ TEST(KernelBitExact, ClusterRepeatedMultiplies)
     opt.program(b);
     ref.program(b);
     for (int rep = 0; rep < 8; ++rep) {
-        const auto x = randomVector(rng, 16, 30);
+        const auto x = randomVector(rng, 16, rep % 2 == 0 ? 5 : 45);
         std::vector<double> ya(16), yb(16);
         const ClusterStats sa = opt.multiply(x, ya);
         const ClusterStats sb = ref.multiply(x, yb);
