@@ -285,49 +285,26 @@ executeBatch(
         // accelerator backends' scratch is per-instance.
         std::lock_guard opLock(entry->opMutex());
         telemetry::Timer solveTimer(hSolve);
-        if (k == 1) {
-            RequestResult &res = results[0];
-            res.x.assign(n, 0.0);
-            SolverConfig scfg;
-            scfg.tolerance = head.req.tolerance;
-            scfg.maxIterations = head.req.maxIterations;
-            scfg.exec = &head.ctx;
-            switch (head.req.kind) {
-              case SolverKind::Cg:
-                // Singleton CG honors checkpoints: a yield raised
-                // by the preempt trigger (or yieldAfterChecks)
-                // parks the recurrence in head.ckpt. Stale flags
-                // from a previous segment are cleared first.
-                scfg.checkpoint = &head.ckpt;
-                head.ctx.clearYield();
-                res.solve = conjugateGradient(entry->op(),
-                                              head.req.b, res.x,
-                                              scfg);
-                break;
-              case SolverKind::Gmres:
-                res.solve = gmres(entry->op(), head.req.b, res.x,
-                                  scfg);
-                break;
-              case SolverKind::BiCgStab:
-              case SolverKind::Auto:
-              default:
-                res.solve = biCgStab(entry->op(), head.req.b,
-                                     res.x, scfg);
-                break;
-            }
-            res.status = res.solve.status;
-        } else {
-            // Coalesced CG panel: pack the columns, advance every
-            // request's independent recurrence in lockstep. Bitwise
-            // identical per column to a solo solve.
+        if (head.req.kind == SolverKind::Cg) {
+            // Every CG dispatch, singleton or coalesced panel, is one
+            // lockstep solve: each request's recurrence advances as
+            // one column, bitwise identical to a solo solve.
             std::vector<double> B(n * k), X(n * k, 0.0);
-            std::vector<LockstepColumnControl> ctl(k);
+            std::vector<SolverConfig> ctl(k);
             for (unsigned c = 0; c < k; ++c) {
                 const PendingRequest &p = *batch[c];
                 std::copy_n(p.req.b.data(), n, B.data() + c * n);
                 ctl[c].tolerance = p.req.tolerance;
                 ctl[c].maxIterations = p.req.maxIterations;
-                ctl[c].exec = &batch[c]->ctx;
+                ctl[c].exec = &p.ctx;
+            }
+            if (k == 1) {
+                // A singleton honors checkpoints: a yield raised by
+                // the preempt trigger (or yieldAfterChecks) parks
+                // the recurrence in head.ckpt. Stale flags from a
+                // previous segment are cleared first.
+                ctl[0].checkpoint = &head.ckpt;
+                head.ctx.clearYield();
             }
             const std::vector<SolverResult> colRes =
                 lockstepConjugateGradient(entry->op(), B, X, k,
@@ -336,10 +313,25 @@ executeBatch(
                 RequestResult &res = results[c];
                 res.solve = colRes[c];
                 res.status = colRes[c].status;
-                res.coalesced = true;
+                res.coalesced = k > 1;
                 res.x.assign(X.data() + c * n,
                              X.data() + (c + 1) * n);
             }
+        } else {
+            // Only CG coalesces: any other kind is a singleton.
+            RequestResult &res = results[0];
+            res.x.assign(n, 0.0);
+            SolverConfig scfg;
+            scfg.tolerance = head.req.tolerance;
+            scfg.maxIterations = head.req.maxIterations;
+            scfg.exec = &head.ctx;
+            if (head.req.kind == SolverKind::Gmres)
+                res.solve = gmres(entry->op(), head.req.b, res.x,
+                                  scfg);
+            else
+                res.solve = biCgStab(entry->op(), head.req.b, res.x,
+                                     scfg);
+            res.status = res.solve.status;
         }
     } catch (const PanicError &) {
         throw; // programming error: never absorb
@@ -367,10 +359,12 @@ executeBatch(
         error = e.what();
     }
     if (failed && !error.empty()) {
+        // A fault can strike mid-update, so no iterate is returned.
         for (auto &res : results) {
             res.status = SolveStatus::Failed;
             res.solve.status = SolveStatus::Failed;
             res.error = error;
+            res.x.clear();
         }
     }
 

@@ -118,7 +118,8 @@ struct RequestResult
      *  surfaced as a status instead of an exception. */
     SolveStatus status = SolveStatus::Failed;
     SolverResult solve;    //!< solver record (when a solve ran)
-    std::vector<double> x; //!< solution iterate (empty if rejected)
+    /** Solution iterate; empty when Overloaded or Failed. */
+    std::vector<double> x;
     bool coalesced = false; //!< ran inside a lockstep panel
     unsigned batchWidth = 1; //!< panel width it dispatched in
     bool cacheHit = false;  //!< prepared operator came from cache

@@ -16,33 +16,6 @@ constinit telemetry::Counter
     ctrBlockIterations{"solver.block_iterations"};
 constinit telemetry::Gauge gBlockResidual{"solver.block_residual"};
 
-/** RAII context binding, mirroring the scalar solvers (solver.cc):
- *  attach cfg.exec to the operator for the duration of the solve so
- *  block-batched operators poll it mid-apply. */
-class ExecBinding
-{
-  public:
-    ExecBinding(LinearOperator &op, const ExecContext *ctx)
-        : a(op), bound(ctx != nullptr)
-    {
-        if (bound)
-            a.setExecContext(ctx);
-    }
-
-    ~ExecBinding()
-    {
-        if (bound)
-            a.setExecContext(nullptr);
-    }
-
-    ExecBinding(const ExecBinding &) = delete;
-    ExecBinding &operator=(const ExecBinding &) = delete;
-
-  private:
-    LinearOperator &a;
-    bool bound;
-};
-
 /** Breakdown guard on an elimination pivot (see solver.cc). */
 bool
 breakdownPivot(double pivot)
@@ -315,10 +288,9 @@ blockConjugateGradient(LinearOperator &a, std::span<const double> B,
 
 namespace {
 
-// Same interned cells as the scalar solvers (solver.cc): lockstep
-// columns tick "solver.iterations" exactly as standalone CG would,
-// so the telemetry totals of a coalesced batch match k direct
-// solves.
+// Same interned cells as the other Krylov solvers (solver.cc): each
+// column ticks "solver.iterations" once per CG iteration, so the
+// telemetry totals of a coalesced batch match k one-column solves.
 constinit telemetry::Counter ctrIterations{"solver.iterations"};
 constinit telemetry::Gauge gResidual{"solver.residual"};
 
@@ -328,7 +300,7 @@ std::vector<SolverResult>
 lockstepConjugateGradient(LinearOperator &a,
                           std::span<const double> B,
                           std::span<double> X, unsigned k,
-                          std::span<const LockstepColumnControl> ctl,
+                          std::span<const SolverConfig> ctl,
                           SolverWorkspace *ws)
 {
     if (a.rows() != a.cols())
@@ -338,33 +310,42 @@ lockstepConjugateGradient(LinearOperator &a,
         fatal("lockstepCG: empty panel");
     if (B.size() != n * k || X.size() != n * k)
         fatal("lockstepCG: panel size mismatch");
+    if (!ctl.empty() && ctl.size() != k)
+        fatal("lockstepCG: need one control per column");
 
-    telemetry::Span span("solver.lockstep_cg");
+    telemetry::Span span(k == 1 ? "solver.cg" : "solver.lockstep_cg");
 
-    const LockstepColumnControl defaultCtl;
-    const auto colCtl = [&](unsigned c) -> const auto & {
-        if (ctl.empty())
-            return defaultCtl;
-        return ctl[std::min<std::size_t>(c, ctl.size() - 1)];
+    const SolverConfig defaultCtl;
+    const auto colCtl = [&](unsigned c) -> const SolverConfig & {
+        return ctl.empty() ? defaultCtl : ctl[c];
     };
 
     SolverWorkspace local;
     SolverWorkspace &wsp = ws ? *ws : local;
-    // Panel-sized scratch: per-column r/p/ap columns plus the packed
-    // panels the batched applies run over.
+    // Panel-sized scratch: per-column r/p/ap columns, plus the packed
+    // panels a narrowed panel's applies run over (k > 1 only: one
+    // column never packs).
     std::vector<double> &R = wsp.vec(0, n * k);
     std::vector<double> &P = wsp.vec(1, n * k);
     std::vector<double> &AP = wsp.vec(2, n * k);
-    std::vector<double> &pack = wsp.vec(3, n * k);
-    std::vector<double> &packOut = wsp.vec(4, n * k);
+    std::vector<double> *pack = nullptr;
+    std::vector<double> *packOut = nullptr;
+    if (k > 1) {
+        pack = &wsp.vec(3, n * k);
+        packOut = &wsp.vec(4, n * k);
+    }
+
+    // One column binds its context, so block-batched operators poll
+    // it mid-apply. A wider panel binds none: one column's stop must
+    // not abort its siblings' apply.
+    ExecBinding bind(a, k == 1 ? colCtl(0).exec : nullptr);
 
     std::vector<SolverResult> results(k);
     std::vector<double> rr(k, 0.0), bNorm(k, 0.0);
     std::vector<bool> active(k, false);
 
-    // Finalize a column the way standalone CG's normal exit does:
-    // recompute convergence from the current residual, Converged
-    // winning over the provided stop reason.
+    // Normal exit: recompute convergence from the current residual,
+    // Converged winning over the provided stop reason.
     const auto finalize = [&](unsigned c, SolveStatus stop) {
         SolverResult &res = results[c];
         res.relResidual = std::sqrt(rr[c]) / bNorm[c];
@@ -373,9 +354,8 @@ lockstepConjugateGradient(LinearOperator &a,
             res.converged ? SolveStatus::Converged : stop;
         active[c] = false;
     };
-    // Finalize a column the way standalone CG's CancelledError
-    // handler does: keep the last completed iterate, report the
-    // stop status, never claim convergence.
+    // Stopped by the context: keep the last completed iterate,
+    // report the stop status, never claim convergence.
     const auto interrupt = [&](unsigned c, SolveStatus stop) {
         SolverResult &res = results[c];
         res.relResidual = (bNorm[c] > 0.0 && rr[c] > 0.0)
@@ -384,44 +364,100 @@ lockstepConjugateGradient(LinearOperator &a,
         res.status = stop;
         active[c] = false;
     };
-
-    // Pack the active columns' @p src columns into a contiguous
-    // panel, run ONE batched apply, and scatter back into @p dst.
-    // Copies carry bits unchanged, and applyBatch is pinned bitwise
-    // to the sequential applies, so each column sees exactly the
-    // apply() result standalone CG would have computed.
-    const auto batchApply = [&](std::span<const double> src,
-                                std::span<double> dst) {
-        unsigned ka = 0;
-        for (unsigned c = 0; c < k; ++c)
-            if (active[c])
-                std::copy_n(src.data() + c * n, n,
-                            pack.data() + (ka++) * n);
-        if (ka == 0)
-            return;
-        a.applyBatch(
-            std::span<const double>(pack.data(), ka * n),
-            std::span<double>(packOut.data(), ka * n), ka);
-        unsigned j = 0;
-        for (unsigned c = 0; c < k; ++c)
-            if (active[c]) {
-                std::copy_n(packOut.data() + j * n, n,
-                            dst.data() + c * n);
-                ++j;
-                ++results[c].spmvCalls;
-            }
+    // Yield: save the column's recurrence at this iteration boundary
+    // (no arithmetic has run for the next iteration, so the resumed
+    // column re-enters the loop exactly here) and step aside.
+    const auto preempt = [&](unsigned c, SolverCheckpoint &ck) {
+        SolverResult &res = results[c];
+        ck.iterationsDone = res.iterations;
+        ck.rr = rr[c];
+        ck.bNorm = bNorm[c];
+        ck.x.assign(X.begin() + c * n, X.begin() + (c + 1) * n);
+        ck.r.assign(R.begin() + c * n, R.begin() + (c + 1) * n);
+        ck.p.assign(P.begin() + c * n, P.begin() + (c + 1) * n);
+        ck.spmvCalls = res.spmvCalls;
+        ck.dotCalls = res.dotCalls;
+        ck.axpyCalls = res.axpyCalls;
+        ck.valid = true;
+        res.relResidual = std::sqrt(rr[c]) / bNorm[c];
+        res.status = SolveStatus::Preempted;
+        active[c] = false;
     };
 
-    // --- initial residuals: r = b - A x, p = r -------------------
+    // dst column c = A (src column c) for every live column. Copies
+    // carry bits unchanged, and applyBatch is pinned bitwise to the
+    // sequential applies, so each column sees exactly the apply()
+    // result a one-column solve computes. A lone live column takes
+    // apply() itself (on the accelerator spmm(x, y, 1) costs about
+    // twice spmv); two or more pack into one applyBatch.
+    const auto batchApply = [&](std::span<const double> src,
+                                std::span<double> dst) {
+        unsigned ka = 0, last = 0;
+        for (unsigned c = 0; c < k; ++c)
+            if (active[c]) {
+                ++ka;
+                last = c;
+            }
+        try {
+            if (ka == 1) {
+                a.apply(src.subspan(last * n, n),
+                        dst.subspan(last * n, n));
+            } else if (ka > 1) {
+                unsigned j = 0;
+                for (unsigned c = 0; c < k; ++c)
+                    if (active[c])
+                        std::copy_n(src.data() + c * n, n,
+                                    pack->data() + (j++) * n);
+                a.applyBatch(
+                    std::span<const double>(pack->data(), ka * n),
+                    std::span<double>(packOut->data(), ka * n), ka);
+                j = 0;
+                for (unsigned c = 0; c < k; ++c)
+                    if (active[c])
+                        std::copy_n(packOut->data() + (j++) * n, n,
+                                    dst.data() + c * n);
+            }
+        } catch (const CancelledError &e) {
+            // Only a bound context (k == 1) throws out of an apply.
+            // x moves only after the apply, so the column keeps its
+            // last completed iterate.
+            for (unsigned c = 0; c < k; ++c)
+                if (active[c])
+                    interrupt(c, e.status());
+            return;
+        }
+        for (unsigned c = 0; c < k; ++c)
+            if (active[c])
+                ++results[c].spmvCalls;
+    };
+
+    // --- entry: resume a checkpoint, or poll and start fresh ------
+    std::vector<unsigned> resumed;
     for (unsigned c = 0; c < k; ++c) {
         results[c].vectorLength = n;
-        const ExecContext *exec = colCtl(c).exec;
-        if (execShouldStop(exec)) {
-            interrupt(c, exec->stopStatus());
-            continue;
+        const SolverConfig &cc = colCtl(c);
+        SolverCheckpoint *ck = cc.checkpoint;
+        if (ck != nullptr && ck->valid && ck->x.size() == n) {
+            std::copy(ck->x.begin(), ck->x.end(), X.begin() + c * n);
+            std::copy(ck->r.begin(), ck->r.end(), R.begin() + c * n);
+            std::copy(ck->p.begin(), ck->p.end(), P.begin() + c * n);
+            rr[c] = ck->rr;
+            bNorm[c] = ck->bNorm;
+            SolverResult &res = results[c];
+            res.iterations = ck->iterationsDone;
+            res.spmvCalls = ck->spmvCalls;
+            res.dotCalls = ck->dotCalls;
+            res.axpyCalls = ck->axpyCalls;
+            ck->valid = false;
+            resumed.push_back(c);
+        } else if (execShouldStop(cc.exec)) {
+            interrupt(c, cc.exec->stopStatus());
+        } else {
+            active[c] = true;
         }
-        active[c] = true;
     }
+
+    // --- fresh columns: r = b - A x, p = r ------------------------
     batchApply(X, std::span<double>(R));
     for (unsigned c = 0; c < k; ++c) {
         if (!active[c])
@@ -445,26 +481,26 @@ lockstepConjugateGradient(LinearOperator &a,
         rr[c] = dot(r, r);
         ++results[c].dotCalls;
     }
+    for (unsigned c : resumed)
+        active[c] = true;
 
     // --- lockstep iterations -------------------------------------
     for (;;) {
-        // Per-column loop head: exactly standalone CG's checks, in
-        // its order (iteration budget is the for-loop condition,
-        // then convergence, then the exec poll).
+        // Per-column loop head: iteration budget, convergence, the
+        // exec poll, then the yield check.
         for (unsigned c = 0; c < k; ++c) {
             if (!active[c])
                 continue;
-            const LockstepColumnControl &cc = colCtl(c);
-            if (results[c].iterations >= cc.maxIterations) {
+            const SolverConfig &cc = colCtl(c);
+            if (results[c].iterations >= cc.maxIterations)
                 finalize(c, SolveStatus::MaxIterations);
-                continue;
-            }
-            if (std::sqrt(rr[c]) / bNorm[c] <= cc.tolerance) {
+            else if (std::sqrt(rr[c]) / bNorm[c] <= cc.tolerance)
                 finalize(c, SolveStatus::MaxIterations);
-                continue;
-            }
-            if (execShouldStop(cc.exec))
+            else if (execShouldStop(cc.exec))
                 interrupt(c, cc.exec->stopStatus());
+            else if (cc.checkpoint != nullptr && cc.exec != nullptr &&
+                     cc.exec->yieldRequested())
+                preempt(c, *cc.checkpoint);
         }
 
         bool any = false;
@@ -473,7 +509,7 @@ lockstepConjugateGradient(LinearOperator &a,
         if (!any)
             break;
 
-        // One panel apply advances every live column: ap = A p.
+        // One apply advances every live column: ap = A p.
         batchApply(P, std::span<double>(AP));
 
         for (unsigned c = 0; c < k; ++c) {
@@ -490,8 +526,7 @@ lockstepConjugateGradient(LinearOperator &a,
             const double pap = dot(p, ap);
             ++res.dotCalls;
             if (pap <= 0.0) {
-                warn("lockstep CG: operator not positive definite "
-                     "(p'Ap = ",
+                warn("CG: operator not positive definite (p'Ap = ",
                      pap, ") on column ", c, "; aborting it");
                 finalize(c, SolveStatus::Breakdown);
                 continue;

@@ -88,48 +88,58 @@ BlockSolverResult blockConjugateGradient(
     unsigned k, const SolverConfig &cfg = {},
     SolverWorkspace *ws = nullptr);
 
-/** Per-column controls of a lockstep panel solve. */
-struct LockstepColumnControl
-{
-    double tolerance = 1e-10;
-    int maxIterations = 5000;
-    /** Optional per-column execution context, polled at the same
-     *  points standalone CG polls cfg.exec (before the initial
-     *  apply and once per iteration). Not owned. */
-    const ExecContext *exec = nullptr;
-};
+/** Per-column controls of a lockstep panel solve: each column has
+ *  its own SolverConfig. */
+using LockstepColumnControl = SolverConfig;
 
 /**
  * Lockstep conjugate gradient: k INDEPENDENT CG recurrences advanced
- * side by side, one panel applyBatch per iteration.
+ * side by side, one operator apply per iteration. This is the
+ * library's only CG recurrence; conjugateGradient() runs it as the
+ * one-column panel.
  *
  * Unlike blockConjugateGradient (whose columns share one Krylov
- * space and therefore follow different trajectories than standalone
- * CG), every column here runs the exact scalar recurrence of
- * conjugateGradient() -- same dot/axpy kernels, same order -- and
- * only the operator applies are batched. Since applyBatch is pinned
- * bitwise to the k sequential applies (the PR 7 contract), each
- * column's iterate sequence, and hence its result, is bit-identical
- * to a standalone conjugateGradient() call on that column alone.
- * This is what lets the service runtime coalesce same-operator
- * requests for the panel-amortization win without changing a single
- * answer bit.
+ * space and therefore follow different trajectories than one-column
+ * CG), every column here runs the scalar CG recurrence -- its own
+ * scalars, the same dot/axpy kernels in the same order -- and only
+ * the operator applies are batched. Since applyBatch is pinned
+ * bitwise to the k sequential applies, each column's iterate
+ * sequence, and hence its result, is bit-identical to a
+ * conjugateGradient() call on that column alone. This is what lets
+ * the service runtime coalesce same-operator requests for the
+ * panel-amortization win without changing a single answer bit.
+ *
+ * Each iteration applies the live columns once: a lone live column
+ * through apply(), two or more packed into one applyBatch.
  *
  * Columns terminate individually (convergence, breakdown, their own
  * maxIterations, or their own exec context firing) and simply leave
  * the lockstep set; remaining columns are unaffected -- in
  * particular, cancelling one request of a coalesced batch leaves
- * its siblings' results bitwise unchanged.
+ * its siblings' results bitwise unchanged. A column's exec is polled
+ * before the initial apply and once per iteration, after the
+ * convergence test. A column with a checkpoint whose context asks to
+ * yield saves its recurrence right after that poll and leaves with
+ * SolveStatus::Preempted; a column with a valid checkpoint resumes
+ * it, without the entry poll or the initial apply, in a panel of
+ * any width (see SolverCheckpoint). A one-column panel also binds
+ * its exec to the operator, and a CancelledError thrown out of an
+ * apply stops it with the last completed iterate; wider panels bind
+ * no context.
  *
- * @param ctl  per-column controls; when shorter than k (or empty)
- *             the last entry (or a default) applies to the rest
- * @return one SolverResult per column, exactly what standalone CG
- *         would have produced (iteration counts, statuses, kernel
- *         tallies; operator-level exec polls excepted)
+ * Workspace slots 0-2 hold the r/p/ap panels; k > 1 also takes
+ * slots 3-4 for the packed panels.
+ *
+ * @param ctl  per-column controls: one per column, or empty for
+ *             defaults everywhere
+ * @return one SolverResult per column, exactly what a one-column
+ *         solve would have produced (iteration counts, statuses,
+ *         kernel tallies; for k > 1, operator-level exec polls
+ *         excepted)
  */
 std::vector<SolverResult> lockstepConjugateGradient(
     LinearOperator &a, std::span<const double> B, std::span<double> X,
-    unsigned k, std::span<const LockstepColumnControl> ctl = {},
+    unsigned k, std::span<const SolverConfig> ctl = {},
     SolverWorkspace *ws = nullptr);
 
 } // namespace msc

@@ -218,60 +218,84 @@ preconditionedCg(LinearOperator &a, const Preconditioner &m,
     res.vectorLength = n;
 
     std::vector<double> r(n), z(n), p(n), ap(n);
-    a.apply(x, r);
-    ++res.spmvCalls;
-    for (std::size_t i = 0; i < n; ++i)
-        r[i] = b[i] - r[i];
-
-    const double bNorm = norm2(b);
-    ++res.dotCalls;
-    if (bNorm == 0.0) {
-        std::fill(x.begin(), x.end(), 0.0);
-        res.converged = true;
-        return res;
-    }
-
-    m.apply(r, z);
-    ++res.precondApplies;
-    p = z;
-    double rz = dot(r, z);
-    ++res.dotCalls;
-
-    double rNorm = norm2(r);
-    ++res.dotCalls;
-    for (int it = 0; it < cfg.maxIterations; ++it) {
-        if (rNorm / bNorm <= cfg.tolerance) {
-            res.converged = true;
-            break;
-        }
-        a.apply(p, ap);
+    ExecBinding bind(a, cfg.exec);
+    SolveStatus stop = SolveStatus::MaxIterations;
+    bool interrupted = false;
+    double bNorm = 0.0;
+    double rNorm = 0.0;
+    try {
+        execCheckpoint(cfg.exec);
+        a.apply(x, r);
         ++res.spmvCalls;
-        const double pap = dot(p, ap);
+        for (std::size_t i = 0; i < n; ++i)
+            r[i] = b[i] - r[i];
+
+        bNorm = norm2(b);
         ++res.dotCalls;
-        if (pap <= 0.0) {
-            warn("PCG: operator or preconditioner not SPD (p'Ap = ",
-                 pap, ")");
-            break;
+        if (bNorm == 0.0) {
+            std::fill(x.begin(), x.end(), 0.0);
+            res.converged = true;
+            res.status = SolveStatus::Converged;
+            return res;
         }
-        const double alpha = rz / pap;
-        axpy(alpha, p, x);
-        axpy(-alpha, ap, r);
-        res.axpyCalls += 2;
+
         m.apply(r, z);
         ++res.precondApplies;
-        const double rzNew = dot(r, z);
+        p = z;
+        double rz = dot(r, z);
         ++res.dotCalls;
-        const double beta = rzNew / rz;
-        for (std::size_t i = 0; i < n; ++i)
-            p[i] = z[i] + beta * p[i];
-        ++res.axpyCalls;
-        rz = rzNew;
+
         rNorm = norm2(r);
         ++res.dotCalls;
-        ++res.iterations;
+        for (int it = 0; it < cfg.maxIterations; ++it) {
+            if (rNorm / bNorm <= cfg.tolerance) {
+                res.converged = true;
+                break;
+            }
+            execCheckpoint(cfg.exec);
+            a.apply(p, ap);
+            ++res.spmvCalls;
+            const double pap = dot(p, ap);
+            ++res.dotCalls;
+            if (pap <= 0.0) {
+                warn("PCG: operator or preconditioner not SPD (p'Ap = ",
+                     pap, ")");
+                stop = SolveStatus::Breakdown;
+                break;
+            }
+            const double alpha = rz / pap;
+            axpy(alpha, p, x);
+            axpy(-alpha, ap, r);
+            res.axpyCalls += 2;
+            m.apply(r, z);
+            ++res.precondApplies;
+            const double rzNew = dot(r, z);
+            ++res.dotCalls;
+            const double beta = rzNew / rz;
+            for (std::size_t i = 0; i < n; ++i)
+                p[i] = z[i] + beta * p[i];
+            ++res.axpyCalls;
+            rz = rzNew;
+            rNorm = norm2(r);
+            ++res.dotCalls;
+            ++res.iterations;
+        }
+    } catch (const CancelledError &e) {
+        // x moves only through the serial axpy, after the apply, so
+        // it holds the last completed iterate.
+        stop = e.status();
+        interrupted = true;
+    }
+    if (interrupted) {
+        res.relResidual = (bNorm > 0.0 && rNorm > 0.0)
+                              ? rNorm / bNorm
+                              : 1.0;
+        res.status = stop;
+        return res;
     }
     res.relResidual = rNorm / bNorm;
     res.converged = res.relResidual <= cfg.tolerance;
+    res.status = res.converged ? SolveStatus::Converged : stop;
     return res;
 }
 

@@ -123,6 +123,10 @@ class Ilu0Preconditioner : public Preconditioner
  * IdentityPreconditioner this reduces exactly to
  * conjugateGradient(). Preconditioner applications are counted in
  * SolverResult::axpyCalls-equivalent work via precondApplies.
+ * Status follows the other Krylov solvers (Converged, MaxIterations,
+ * Breakdown on p'Ap <= 0). cfg.exec is bound to the operator and
+ * polled at entry and once per iteration; a stopped solve returns
+ * the last completed iterate. cfg.checkpoint is not honored.
  */
 SolverResult preconditionedCg(LinearOperator &a,
                               const Preconditioner &m,

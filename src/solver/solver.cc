@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "solver/block.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
@@ -17,36 +18,6 @@ namespace {
 // the pool's lane count.
 constinit telemetry::Counter ctrIterations{"solver.iterations"};
 constinit telemetry::Gauge gResidual{"solver.residual"};
-
-/**
- * RAII: attach cfg.exec to the operator for the duration of one
- * solve so block-batched operators (accel/, fault/) poll it
- * mid-apply, and detach on exit -- the context may not outlive the
- * operator. No virtual call in the default (nullptr) path.
- */
-class ExecBinding
-{
-  public:
-    ExecBinding(LinearOperator &op, const ExecContext *ctx)
-        : a(op), bound(ctx != nullptr)
-    {
-        if (bound)
-            a.setExecContext(ctx);
-    }
-
-    ~ExecBinding()
-    {
-        if (bound)
-            a.setExecContext(nullptr);
-    }
-
-    ExecBinding(const ExecBinding &) = delete;
-    ExecBinding &operator=(const ExecBinding &) = delete;
-
-  private:
-    LinearOperator &a;
-    bool bound;
-};
 
 void
 checkSystem(const LinearOperator &a, std::span<const double> b,
@@ -76,133 +47,8 @@ conjugateGradient(LinearOperator &a, std::span<const double> b,
                   SolverWorkspace *ws)
 {
     checkSystem(a, b, x);
-    telemetry::Span span("solver.cg");
-    const std::size_t n = b.size();
-    SolverResult res;
-    res.vectorLength = n;
-
-    SolverWorkspace local;
-    SolverWorkspace &wsp = ws ? *ws : local;
-    std::vector<double> &r = wsp.vec(0, n);
-    std::vector<double> &p = wsp.vec(1, n);
-    std::vector<double> &ap = wsp.vec(2, n);
-
-    ExecBinding bind(a, cfg.exec);
-    SolveStatus stop = SolveStatus::MaxIterations;
-    bool interrupted = false;
-    double bNorm = 0.0;
-    double rr = 0.0;
-    SolverCheckpoint *ckpt = cfg.checkpoint;
-    const bool resuming = ckpt != nullptr && ckpt->valid &&
-                          ckpt->x.size() == n;
-    try {
-        if (resuming) {
-            // Restore the exact recurrence state of the preempted
-            // segment: the concatenated segments walk the same
-            // iterate sequence an uninterrupted solve would.
-            std::copy(ckpt->x.begin(), ckpt->x.end(), x.begin());
-            std::copy(ckpt->r.begin(), ckpt->r.end(), r.begin());
-            std::copy(ckpt->p.begin(), ckpt->p.end(), p.begin());
-            rr = ckpt->rr;
-            bNorm = ckpt->bNorm;
-            res.iterations = ckpt->iterationsDone;
-            res.spmvCalls = ckpt->spmvCalls;
-            res.dotCalls = ckpt->dotCalls;
-            res.axpyCalls = ckpt->axpyCalls;
-            ckpt->valid = false;
-        } else {
-            execCheckpoint(cfg.exec);
-            // r = b - A x
-            a.apply(x, r);
-            ++res.spmvCalls;
-            for (std::size_t i = 0; i < n; ++i)
-                r[i] = b[i] - r[i];
-            p = r;
-
-            bNorm = norm2(b);
-            ++res.dotCalls;
-            if (bNorm == 0.0) {
-                std::fill(x.begin(), x.end(), 0.0);
-                res.converged = true;
-                res.status = SolveStatus::Converged;
-                return res;
-            }
-
-            rr = dot(r, r);
-            ++res.dotCalls;
-        }
-        for (int it = res.iterations; it < cfg.maxIterations;
-             ++it) {
-            if (std::sqrt(rr) / bNorm <= cfg.tolerance) {
-                res.converged = true;
-                break;
-            }
-            execCheckpoint(cfg.exec);
-            if (ckpt != nullptr && cfg.exec != nullptr &&
-                cfg.exec->yieldRequested()) {
-                // Cooperative preemption: save the full state at
-                // this iteration boundary and step aside. No
-                // arithmetic has run for iteration `it`, so the
-                // resumed segment re-enters the loop exactly here.
-                ckpt->iterationsDone = res.iterations;
-                ckpt->rr = rr;
-                ckpt->bNorm = bNorm;
-                ckpt->x.assign(x.begin(), x.end());
-                ckpt->r = r;
-                ckpt->p = p;
-                ckpt->spmvCalls = res.spmvCalls;
-                ckpt->dotCalls = res.dotCalls;
-                ckpt->axpyCalls = res.axpyCalls;
-                ckpt->valid = true;
-                res.relResidual = std::sqrt(rr) / bNorm;
-                res.status = SolveStatus::Preempted;
-                return res;
-            }
-            a.apply(p, ap);
-            ++res.spmvCalls;
-            const double pap = dot(p, ap);
-            ++res.dotCalls;
-            if (pap <= 0.0) {
-                warn("CG: operator not positive definite (p'Ap = ",
-                     pap, "); aborting");
-                stop = SolveStatus::Breakdown;
-                break;
-            }
-            const double alpha = rr / pap;
-            axpy(alpha, p, x);
-            axpy(-alpha, ap, r);
-            res.axpyCalls += 2;
-            const double rrNew = dot(r, r);
-            ++res.dotCalls;
-            const double beta = rrNew / rr;
-            // p = r + beta p
-            for (std::size_t i = 0; i < n; ++i)
-                p[i] = r[i] + beta * p[i];
-            ++res.axpyCalls;
-            rr = rrNew;
-            ++res.iterations;
-            ctrIterations.add();
-            gResidual.set(std::sqrt(rr) / bNorm);
-        }
-    } catch (const CancelledError &e) {
-        // x only moves through the serial axpy above, so it holds
-        // the last completed iterate regardless of where inside the
-        // iteration the stop landed.
-        stop = e.status();
-        interrupted = true;
-    }
-    if (interrupted) {
-        res.relResidual = (bNorm > 0.0 && rr > 0.0)
-                              ? std::sqrt(rr) / bNorm
-                              : 1.0;
-        res.status = stop;
-        return res;
-    }
-    res.relResidual = std::sqrt(rr) / bNorm;
-    res.converged = res.relResidual <= cfg.tolerance;
-    res.status =
-        res.converged ? SolveStatus::Converged : stop;
-    return res;
+    return lockstepConjugateGradient(
+        a, b, x, 1, std::span<const SolverConfig>(&cfg, 1), ws)[0];
 }
 
 SolverResult

@@ -74,6 +74,36 @@ class LinearOperator
     }
 };
 
+/**
+ * RAII: attach an execution context to an operator for the duration
+ * of one solve so block-batched operators (accel/, fault/) poll it
+ * mid-apply, and detach on exit -- the context may not outlive the
+ * operator. No virtual call for a null context.
+ */
+class ExecBinding
+{
+  public:
+    ExecBinding(LinearOperator &op, const ExecContext *ctx)
+        : a(op), bound(ctx != nullptr)
+    {
+        if (bound)
+            a.setExecContext(ctx);
+    }
+
+    ~ExecBinding()
+    {
+        if (bound)
+            a.setExecContext(nullptr);
+    }
+
+    ExecBinding(const ExecBinding &) = delete;
+    ExecBinding &operator=(const ExecBinding &) = delete;
+
+  private:
+    LinearOperator &a;
+    bool bound;
+};
+
 /** Operator that can also apply its transpose (needed by BiCG). */
 class TransposableOperator : public LinearOperator
 {
@@ -166,16 +196,19 @@ enum class SolverKind
 };
 
 /**
- * Resumable mid-solve state for cooperative preemption (currently
- * CG only: the service's preemptible path).
+ * Resumable mid-solve state of one CG recurrence, for cooperative
+ * preemption (CG only; every CG solve is a lockstep column, so a
+ * checkpoint belongs to one column of a lockstepConjugateGradient
+ * panel, and conjugateGradient() is the one-column case).
  *
- * When SolverConfig::checkpoint is attached and the ExecContext's
- * yield flag fires, the solver stops at the next iteration boundary,
- * deep-copies its full recurrence state (iterate, residual, search
- * direction, scalars, kernel tallies) into the checkpoint, and
- * returns SolveStatus::Preempted. A later call with the same
- * checkpoint (valid == true) restores that exact state and continues
- * the recurrence, so the concatenated segments produce bitwise the
+ * When a column's SolverConfig::checkpoint is attached and its
+ * ExecContext's yield flag is up, the column stops at its next
+ * iteration boundary, deep-copies its recurrence state (iterate,
+ * residual, search direction, scalars, kernel tallies) into the
+ * checkpoint, and leaves the panel with SolveStatus::Preempted. A
+ * later solve with the same checkpoint (valid == true), in a panel
+ * of any width, restores that exact state and continues the
+ * recurrence, so the concatenated segments produce bitwise the
  * iterate sequence -- and hence the result -- of an uninterrupted
  * solve. That identity is what lets a scheduler preempt a long solve
  * for a short-deadline one without changing any answer bit.
@@ -194,12 +227,6 @@ struct SolverCheckpoint
     std::uint64_t spmvCalls = 0;
     std::uint64_t dotCalls = 0;
     std::uint64_t axpyCalls = 0;
-
-    void
-    reset()
-    {
-        *this = SolverCheckpoint{};
-    }
 };
 
 struct SolverConfig
@@ -209,16 +236,19 @@ struct SolverConfig
     /**
      * Optional execution context (deadline / cancellation), polled
      * once per iteration and forwarded to the operator for
-     * per-block-batch polls. Not owned; must outlive the solve.
-     * nullptr (the default) adds no per-iteration cost.
+     * per-block-batch polls (except in a lockstep panel of k > 1
+     * columns). Not owned; must outlive the solve. nullptr (the
+     * default) adds no per-iteration cost.
      */
     const ExecContext *exec = nullptr;
     /**
-     * Optional preemption checkpoint sink/source (CG only). Non-null
-     * enables cooperative yield: exec->yieldRequested() is honored
-     * at iteration boundaries (see SolverCheckpoint). A valid
-     * checkpoint resumes the saved recurrence instead of starting
-     * from x. Not owned.
+     * Optional preemption checkpoint sink/source (CG only, per
+     * column of a lockstep panel). Non-null enables cooperative
+     * yield: exec->yieldRequested() is honored at iteration
+     * boundaries, right after the exec poll (see SolverCheckpoint).
+     * A valid checkpoint resumes the saved recurrence instead of
+     * starting from x, without the entry poll or the initial apply.
+     * Not owned; one checkpoint serves one column.
      */
     SolverCheckpoint *checkpoint = nullptr;
 };
@@ -279,8 +309,11 @@ struct SolverResult
 };
 
 /** Conjugate gradient; requires a symmetric positive definite A.
- *  An optional workspace reuses the solver's scratch vectors
- *  across calls (results are identical either way). */
+ *  Runs lockstepConjugateGradient (solver/block.hh) as a one-column
+ *  panel: it binds cfg.exec to the operator and honors
+ *  cfg.checkpoint. An optional workspace reuses the solver's scratch
+ *  vectors (slots 0-2) across calls (results are identical either
+ *  way). */
 SolverResult conjugateGradient(LinearOperator &a,
                                std::span<const double> b,
                                std::span<double> x,

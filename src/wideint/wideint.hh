@@ -505,7 +505,7 @@ class WideUInt
             }
         }
         if (!started)
-            s = "0";
+            s.push_back('0');
         return "0x" + s;
     }
 

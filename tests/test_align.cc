@@ -143,8 +143,9 @@ TEST(BiasEncode, StoredValuesAreUnsignedAndDecode)
         bool neg = false;
         biasDecode(b, i, mag, neg);
         EXPECT_EQ(mag, s.mag[i]);
-        if (!mag.isZero())
+        if (!mag.isZero()) {
             EXPECT_EQ(neg, static_cast<bool>(s.neg[i]));
+        }
     }
 }
 

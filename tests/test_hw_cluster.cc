@@ -178,8 +178,9 @@ TEST(HwCluster, StuckCellChangesResultWithoutAnCode)
     EXPECT_NE(y[3], ref[3]);
     // Other rows are untouched.
     for (unsigned i = 0; i < 16; ++i) {
-        if (i != 3)
+        if (i != 3) {
             EXPECT_EQ(y[i], ref[i]) << "row " << i;
+        }
     }
 }
 

@@ -107,6 +107,7 @@ TEST(Precond, PcgWithIdentityMatchesCg)
     const SolverResult pcg = preconditionedCg(op, id, b, x2, cfg);
     EXPECT_TRUE(plain.converged);
     EXPECT_TRUE(pcg.converged);
+    EXPECT_EQ(pcg.status, SolveStatus::Converged);
     // Same Krylov process: identical iteration counts.
     EXPECT_EQ(pcg.iterations, plain.iterations);
     for (std::size_t i = 0; i < b.size(); ++i)

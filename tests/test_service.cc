@@ -33,9 +33,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -125,43 +128,138 @@ expectBitwiseEqual(std::span<const double> a,
         ASSERT_EQ(a[i], b[i]) << what << ": component " << i;
 }
 
+/**
+ * Straight-line CG, kept as the reference recurrence: no exec, no
+ * checkpoint, no workspace, no panel. The library has one CG
+ * recurrence (lockstepConjugateGradient; conjugateGradient is its
+ * one-column panel), so comparing its columns with each other would
+ * compare it with itself. This loop shares only the operator and
+ * the dot/axpy/norm2 kernels with it, runs them in CG's order, and
+ * counts the kernel calls the way SolverResult does.
+ */
+SolverResult
+refConjugateGradient(LinearOperator &a, std::span<const double> b,
+                     std::span<double> x, double tolerance,
+                     int maxIterations)
+{
+    const std::size_t n = b.size();
+    SolverResult res;
+    res.vectorLength = n;
+    std::vector<double> r(n), p(n), ap(n);
+    a.apply(x, r);
+    ++res.spmvCalls;
+    for (std::size_t i = 0; i < n; ++i)
+        r[i] = b[i] - r[i];
+    p = r;
+    const double bNorm = norm2(b);
+    ++res.dotCalls;
+    if (bNorm == 0.0) {
+        std::fill(x.begin(), x.end(), 0.0);
+        res.converged = true;
+        res.status = SolveStatus::Converged;
+        return res;
+    }
+    double rr = dot(r, r);
+    ++res.dotCalls;
+    SolveStatus stop = SolveStatus::MaxIterations;
+    while (res.iterations < maxIterations) {
+        if (std::sqrt(rr) / bNorm <= tolerance)
+            break;
+        a.apply(p, ap);
+        ++res.spmvCalls;
+        const double pap = dot(p, ap);
+        ++res.dotCalls;
+        if (pap <= 0.0) {
+            stop = SolveStatus::Breakdown;
+            break;
+        }
+        const double alpha = rr / pap;
+        axpy(alpha, p, x);
+        axpy(-alpha, ap, r);
+        res.axpyCalls += 2;
+        const double rrNew = dot(r, r);
+        ++res.dotCalls;
+        const double beta = rrNew / rr;
+        for (std::size_t i = 0; i < n; ++i)
+            p[i] = r[i] + beta * p[i];
+        ++res.axpyCalls;
+        rr = rrNew;
+        ++res.iterations;
+    }
+    res.relResidual = std::sqrt(rr) / bNorm;
+    res.converged = res.relResidual <= tolerance;
+    res.status = res.converged ? SolveStatus::Converged : stop;
+    return res;
+}
+
+/** Status, iteration count, residual, kernel tallies and x bits. */
+void
+expectSameSolve(const SolverResult &got, std::span<const double> xGot,
+                const SolverResult &want,
+                std::span<const double> xWant, const std::string &what)
+{
+    EXPECT_EQ(got.status, want.status) << what;
+    EXPECT_EQ(got.converged, want.converged) << what;
+    EXPECT_EQ(got.iterations, want.iterations) << what;
+    EXPECT_EQ(got.relResidual, want.relResidual) << what;
+    EXPECT_EQ(got.spmvCalls, want.spmvCalls) << what;
+    EXPECT_EQ(got.dotCalls, want.dotCalls) << what;
+    EXPECT_EQ(got.axpyCalls, want.axpyCalls) << what;
+    expectBitwiseEqual(xGot, xWant, what.c_str());
+}
+
 // --- lockstep multi-RHS CG (the coalescer's solve kernel) -----------
 
+/**
+ * A 5-column panel and the one-column forwarder (conjugateGradient)
+ * both reproduce the straight-line oracle column by column, on the
+ * CSR reference and on the bit-exact cluster operator.
+ */
 TEST(ServiceLockstep, MatchesStandaloneCgBitwise)
 {
     const Csr m = spdMatrix(96, 101);
     const std::size_t n = static_cast<std::size_t>(m.rows());
     constexpr unsigned k = 5;
 
-    std::vector<double> B(n * k), X(n * k, 0.0);
+    std::vector<double> B(n * k);
     for (unsigned c = 0; c < k; ++c) {
         const auto b = seededRhs(n, 7000 + c);
         std::copy(b.begin(), b.end(), B.begin() + c * n);
     }
 
-    ClusterArithmeticOperator op(m, BlockingConfig{},
-                                 ClusterConfig{});
-    const auto results = lockstepConjugateGradient(op, B, X, k);
-    ASSERT_EQ(results.size(), k);
+    for (const bool cluster : {false, true}) {
+        const auto makeOp = [&]() -> std::unique_ptr<LinearOperator> {
+            if (cluster)
+                return std::make_unique<ClusterArithmeticOperator>(
+                    m, BlockingConfig{}, ClusterConfig{});
+            return std::make_unique<CsrOperator>(m);
+        };
+        const std::string tag = cluster ? "cluster" : "csr";
+        const SolverConfig cfg;
 
-    for (unsigned c = 0; c < k; ++c) {
-        std::vector<double> xRef(n, 0.0);
-        ClusterArithmeticOperator ref(m, BlockingConfig{},
-                                      ClusterConfig{});
-        const SolverResult solo = conjugateGradient(
-            ref, std::span<const double>(B).subspan(c * n, n),
-            xRef);
-        const SolverResult &got = results[c];
-        EXPECT_EQ(got.status, solo.status) << "column " << c;
-        EXPECT_EQ(got.converged, solo.converged) << "column " << c;
-        EXPECT_EQ(got.iterations, solo.iterations) << "column " << c;
-        EXPECT_EQ(got.relResidual, solo.relResidual)
-            << "column " << c;
-        EXPECT_EQ(got.dotCalls, solo.dotCalls) << "column " << c;
-        EXPECT_EQ(got.axpyCalls, solo.axpyCalls) << "column " << c;
-        expectBitwiseEqual(
-            std::span<const double>(X).subspan(c * n, n), xRef,
-            "lockstep column");
+        std::vector<double> X(n * k, 0.0);
+        const auto panelOp = makeOp();
+        const auto results =
+            lockstepConjugateGradient(*panelOp, B, X, k);
+        ASSERT_EQ(results.size(), k);
+
+        for (unsigned c = 0; c < k; ++c) {
+            const auto b = std::span<const double>(B).subspan(c * n, n);
+            std::vector<double> xRef(n, 0.0), xSolo(n, 0.0);
+            const auto refOp = makeOp();
+            const SolverResult ref = refConjugateGradient(
+                *refOp, b, xRef, cfg.tolerance, cfg.maxIterations);
+            ASSERT_EQ(ref.status, SolveStatus::Converged);
+            const auto soloOp = makeOp();
+            const SolverResult solo =
+                conjugateGradient(*soloOp, b, xSolo, cfg);
+
+            const std::string col = tag + " column " + std::to_string(c);
+            expectSameSolve(results[c],
+                            std::span<const double>(X).subspan(c * n, n),
+                            ref, xRef, col + " (panel)");
+            expectSameSolve(solo, xSolo, ref, xRef, col + " (k = 1)");
+        }
     }
 }
 
@@ -303,6 +401,14 @@ TEST(Service, SingleRequestMatchesDirectSolveBitwise)
     EXPECT_EQ(r.solve.iterations, solo.iterations);
     EXPECT_EQ(r.solve.relResidual, solo.relResidual);
     expectBitwiseEqual(r.x, xRef, "single request");
+
+    // The direct solve runs the service's own CG recurrence; the
+    // straight-line oracle is the independent reference.
+    std::vector<double> xOracle(n, 0.0);
+    CsrOperator oracleOp(m);
+    const SolverResult oracle = refConjugateGradient(
+        oracleOp, b, xOracle, req.tolerance, req.maxIterations);
+    expectSameSolve(r.solve, r.x, oracle, xOracle, "single request");
 
     // Second request on the same system: prepared operator comes
     // from the cache, answer stays bitwise identical.
@@ -1141,6 +1247,59 @@ TEST(ChaosServiceResilient, LadderHonorsDeadlineUnderAllocFailure)
 }
 
 /**
+ * A fault inside a solve leaves no iterate behind: a Failed result
+ * carries an empty x whatever its solver kind or panel width. Every
+ * workspace grant fails, so each solve dies at its first one, after
+ * the service has set up the request's output.
+ */
+TEST(ChaosServiceFailed, FailedResultsCarryNoIterate)
+{
+    const Csr m = spdMatrix(64, 411);
+    const Csr lone = spdMatrix(64, 413);
+    const std::size_t n = static_cast<std::size_t>(m.rows());
+
+    ServiceConfig cfg;
+    cfg.scheduler.batchWindow = 4;
+    cfg.scheduler.defaultTickets = 16;
+    SolverService svc(cfg);
+
+    ChaosCampaign camp;
+    camp.allocFailRate = 1.0;
+    ChaosEngine chaos(camp);
+
+    // Two CG requests on m coalesce; the CG request on `lone` runs
+    // as a singleton, beside one GMRES and one BiCGSTAB singleton.
+    struct Case
+    {
+        const Csr *matrix;
+        SolverKind kind;
+        unsigned width;
+    };
+    const Case cases[] = {{&m, SolverKind::Cg, 2},
+                          {&m, SolverKind::Cg, 2},
+                          {&lone, SolverKind::Cg, 1},
+                          {&m, SolverKind::Gmres, 1},
+                          {&m, SolverKind::BiCgStab, 1}};
+    std::vector<RequestHandle> handles;
+    for (unsigned i = 0; i < std::size(cases); ++i) {
+        SolveRequest req;
+        req.matrix = cases[i].matrix;
+        req.kind = cases[i].kind;
+        req.b = seededRhs(n, 9800 + i);
+        handles.push_back(svc.submit(req));
+    }
+    svc.runUntilIdle();
+
+    for (unsigned i = 0; i < std::size(cases); ++i) {
+        const RequestResult &r = handles[i].wait();
+        EXPECT_EQ(r.status, SolveStatus::Failed) << "request " << i;
+        EXPECT_FALSE(r.error.empty()) << "request " << i;
+        EXPECT_EQ(r.batchWidth, cases[i].width) << "request " << i;
+        EXPECT_TRUE(r.x.empty()) << "request " << i;
+    }
+}
+
+/**
  * The soak: worker threads + chaos injection (delays, worker
  * throws, allocation failures) + deadlines + mid-flight cancels
  * across tenants and backends. Every handle must reach a terminal
@@ -1208,6 +1367,7 @@ TEST(ChaosServiceSoak, MultiTenantStormKeepsInvariants)
           case SolveStatus::Failed:
             ++byStatus[4];
             EXPECT_FALSE(r.error.empty());
+            EXPECT_TRUE(r.x.empty());
             break;
           default:
             ADD_FAILURE() << "unexpected terminal status "
@@ -1550,9 +1710,11 @@ TEST(ServiceShard, RoutesByKeyAndMigratesBacklog)
         handles.push_back(svc.submit(req));
     }
     // Admissions recorded shard A as the home shard.
-    for (const Decision &d : svc.decisionLog())
-        if (d.kind == DecisionKind::Admit)
+    for (const Decision &d : svc.decisionLog()) {
+        if (d.kind == DecisionKind::Admit) {
             EXPECT_EQ(d.shard, shardA);
+        }
+    }
 
     // Pumping the idle shard migrates one batch from A's backlog.
     EXPECT_TRUE(svc.pumpShard(shardB));
